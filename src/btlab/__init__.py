@@ -14,6 +14,7 @@ from .graph_oracle import (
     ComponentSummary,
     CrossCheck,
     GammaGraph,
+    GraphTooLarge,
     MalformedGraph,
     VerificationMismatch,
     build_gamma_graph,
@@ -23,6 +24,7 @@ from .graph_oracle import (
 )
 from .invariants import (
     InvariantReport,
+    LevelTooLarge,
     OrbitProfile,
     Segment,
     a_n,
@@ -64,8 +66,8 @@ from .witt import (
     NonIntegralCoefficient,
     NotPrime,
     PrimeMismatch,
+    PrimeTooLarge,
     TableTooLarge,
-    WittPoly,
     WittVec,
     frobenius,
     ghost_polynomial,

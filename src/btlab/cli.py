@@ -16,7 +16,7 @@ import sys
 
 from .errors import InputError, VerificationError
 from .graph_oracle import orbit_summaries
-from .invariants import InvariantReport, a_n, invariant_report
+from .invariants import InvariantReport, invariant_report, level_histogram
 from .kraft import enumerate_bt1, kraft_type
 from .permutations import Permutation, Signature, parse_permutation
 from .rng import SplitMix64
@@ -74,7 +74,7 @@ def _report_doc(report: InvariantReport, max_level: int, p: int | None) -> dict:
                 {"start": s.start, "length": s.length, "level": s.level}
                 for s in prof.segments
             ],
-            "a": [a_n(prof.eps, n) for n in range(1, max_level + 1)],
+            "a": level_histogram(prof.segments, max_level),
         }
         for prof in report.profiles
     ]
@@ -145,11 +145,12 @@ def cmd_oracle(args) -> tuple[str, int]:
     perm = _permutation(args, sig)
     level = args.level
     report = invariant_report(perm, sig, level)
+    summaries = orbit_summaries(report.profiles, level)
     doc = _report_doc(report, level, None)
     per_orbit = []
     dimension = 0
     exponent = 0
-    for prof, summary in orbit_summaries(perm, sig, level):
+    for prof, summary in summaries:
         dimension += summary.free_paths
         exponent += sum(c.weight for c in summary.cycles)
         per_orbit.append(

@@ -32,18 +32,21 @@ independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .errors import VerificationError
+from .errors import InputError, VerificationError
 from .invariants import OrbitProfile, component_exponent, gamma, orbit_profiles
 from .permutations import EpsilonSeq, Permutation, Signature
 
 Vertex = tuple[int, int]  # (orbit position s, Witt row r); s 1-based, r 0-based
 
-#: Label for the shared zero vertex in rendered output; in the data model
-#: equality-to-zero is kept as a constraint set so that zero propagation
-#: stays component-wide.
-ZERO = "0"
+#: Largest number of graph vertices, h^2 * m over all orbits at level m,
+#: that ``orbit_summaries`` expands.
+MAX_ORACLE_VERTICES = 1_000_000
+
+
+class GraphTooLarge(InputError):
+    pass
 
 
 class MalformedGraph(VerificationError):
@@ -188,11 +191,16 @@ def oracle_invariants(p: Permutation, sig: Signature, m: int) -> tuple[int, int]
 
 
 def orbit_summaries(
-    p: Permutation, sig: Signature, m: int
+    profiles: Sequence[OrbitProfile], m: int
 ) -> list[tuple[OrbitProfile, ComponentSummary]]:
+    vertices = m * sum(len(prof.orbit) for prof in profiles)
+    if vertices > MAX_ORACLE_VERTICES:
+        raise GraphTooLarge(
+            f"oracle vertices (h^2 * level) must be <= {MAX_ORACLE_VERTICES}, got {vertices}"
+        )
     return [
         (prof, classify_components(build_gamma_graph(prof.eps, m)))
-        for prof in orbit_profiles(p, sig)
+        for prof in profiles
     ]
 
 

@@ -16,13 +16,24 @@ From those two counts:
 
 gamma stabilizes at the largest segment level; that level is the
 isomorphism number, and gamma there is the specializing height.
+
+Cost.  A segment is a first return of the prefix-sum walk to the level
+it left at a -1, so one stack scan over the doubled sequence finds every
+segment of an orbit of length l in O(l) steps (see ``segment_scan``).
+The orbits of (pi, pi) cover h^2 points, so scanning all of them costs
+O(h^2).  The gamma and c_m tables are running sums over histograms of
+segment levels and circular levels, which adds O(segments + orbits +
+max_level).  The whole pipeline is therefore linear in the size of its
+output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Sequence
 
+from .errors import InputError
 from .permutations import (
     EpsilonSeq,
     Permutation,
@@ -31,6 +42,14 @@ from .permutations import (
     epsilon_sequence,
     pair_orbits,
 )
+
+#: Largest level an invariant report tabulates.  Each level adds one
+#: entry per orbit to the rendered ``a`` lists and one to each table.
+MAX_LEVEL = 10_000
+
+
+class LevelTooLarge(InputError):
+    pass
 
 
 class Segment(NamedTuple):
@@ -42,27 +61,72 @@ class Segment(NamedTuple):
 def segment_scan(e: EpsilonSeq) -> tuple[Segment, ...]:
     """All free linear segments of ``e``, sorted by start index.
 
-    Each -1 position starts at most one segment: walk the cyclic partial
-    sums until they first return to 0 (that step must read +1), recording
-    the depth.  A walk of |e| steps suffices: once a full loop completes
-    the sum can only repeat offsets of the (nonzero) total, never 0,
-    without first violating strict negativity.
+    The segment starting at a -1 in position s ends at the first later
+    position where the cyclic prefix-sum walk climbs back to the value it
+    had before s; its level is how far the walk dipped in between.  One
+    pass over the doubled sequence finds all of them.  A stack holds the
+    -1 starts whose walk has not yet come back, with the walk's value
+    before each start (strictly decreasing up the stack, since every
+    open start lies below the ones beneath it) and the lowest value seen
+    since.  A +1 that brings the walk back to the top start's value
+    closes that segment, and its low folds into the new top's.  Starts
+    are only pushed on the first lap; the second lap closes what is
+    still open.
+
+    No segment is longer than l = |e|: after one lap the walk has moved
+    by the total of ``e``.  If the total is 0, the walk is back at the
+    start's value after exactly l steps, so a segment closes by then (a
+    full-length segment is possible).  If it is negative, the second lap
+    repeats the first shifted down and can never return; if it is
+    positive, the walk has passed the start's value within the first
+    lap.  Starts that never close have no segment.
     """
     l = len(e)
-    segments = []
-    for s0 in range(l):
-        if e[s0] != -1:
-            continue
-        total = 0
-        deepest = 0
-        for k in range(l):
-            total += e[(s0 + k) % l]
-            if total < deepest:
-                deepest = total
-            if total == 0:
-                segments.append(Segment(s0 + 1, k + 1, -deepest))
-                break
-    return tuple(segments)
+    by_start: list[Segment | None] = [None] * l
+    starts: list[int] = []
+    bases: list[int] = []
+    lows: list[int] = []
+    cum = 0
+
+    def close(i: int) -> None:
+        s = starts.pop()
+        bases.pop()
+        low = lows.pop()
+        by_start[s] = Segment(s + 1, i + 1 - s, cum - low)
+        if lows and low < lows[-1]:
+            lows[-1] = low
+
+    for i, v in enumerate(e):
+        if v == -1:
+            starts.append(i)
+            bases.append(cum)
+            cum -= 1
+            lows.append(cum)
+        elif v == 1:
+            cum += 1
+            if bases and bases[-1] == cum:
+                close(i)
+    for i, v in enumerate(e, start=l):
+        if not starts:
+            break
+        if v == -1:
+            cum -= 1
+            if cum < lows[-1]:
+                lows[-1] = cum
+        elif v == 1:
+            cum += 1
+            if bases[-1] == cum:
+                close(i)
+    return tuple(seg for seg in by_start if seg is not None)
+
+
+def level_histogram(segments: Iterable[Segment], max_level: int) -> list[int]:
+    """counts[n-1] = number of ``segments`` of level n, for n = 1..max_level."""
+    counts = [0] * max_level
+    for seg in segments:
+        if seg.level <= max_level:
+            counts[seg.level - 1] += 1
+    return counts
 
 
 def a_n(e: EpsilonSeq, n: int) -> int:
@@ -157,18 +221,37 @@ def invariant_report(p: Permutation, sig: Signature, max_level: int) -> Invarian
         raise ValueError(f"permutation degree {p.h} != c+d = {sig.h}")
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
+    if max_level > MAX_LEVEL:
+        raise LevelTooLarge(f"max level must be <= {MAX_LEVEL}, got {max_level}")
     profiles = tuple(orbit_profiles(p, sig))
     n_iso = isomorphism_number(profiles)
     # gamma(n_iso) without tabulating that far: every segment has level <= n_iso
     height = sum(len(prof.segments) for prof in profiles) if n_iso > 0 else 0
+    # gamma(m) counts segments of level <= m: a running sum of the level
+    # histogram.  c_m = m * W(m-1) - N(m-1), where W(k) and N(k) sum |orbit|
+    # and n * |orbit| over circular orbits of level n <= k.
+    seg_counts = level_histogram(
+        (seg for prof in profiles for seg in prof.segments), max_level
+    )
+    circ_weight = [0] * max_level  # circ_weight[n] for circular level n
+    for prof in profiles:
+        n = prof.circular_level
+        if n is not None and n < max_level:
+            circ_weight[n] += len(prof.orbit)
+    c_table = []
+    weight = moment = 0
+    for n, w in enumerate(circ_weight):
+        weight += w
+        moment += n * w
+        c_table.append((n + 1) * weight - moment)
     return InvariantReport(
         h=sig.h,
         c=sig.c,
         d=sig.d,
         perm=p,
         profiles=profiles,
-        gamma=tuple(gamma(profiles, m) for m in range(1, max_level + 1)),
-        c_exponent=tuple(component_exponent(profiles, m) for m in range(1, max_level + 1)),
+        gamma=tuple(accumulate(seg_counts)),
+        c_exponent=tuple(c_table),
         isomorphism_number=n_iso,
         specializing_height=height,
     )

@@ -185,20 +185,27 @@ def pair_orbits(p: Permutation) -> list[ProductOrbit]:
 
     Scanning J^2 in lexicographic order guarantees that each walk starts
     at the orbit's least pair, so discovery order is already canonical.
+    Visited pairs are marked in a flat byte array at index a*(h+1) + b.
     """
     h = p.h
-    seen = set()
+    w = h + 1
+    img = (0,) + p.images
+    seen = bytearray(w * w)
     orbits = []
-    for i in range(1, h + 1):
-        for j in range(1, h + 1):
-            if (i, j) in seen:
+    for i in range(1, w):
+        row = i * w
+        for j in range(1, w):
+            if seen[row + j]:
                 continue
             pts = []
             a, b = i, j
-            while (a, b) not in seen:
-                seen.add((a, b))
+            k = row + j
+            while not seen[k]:
+                seen[k] = 1
                 pts.append((a, b))
-                a, b = p(a), p(b)
+                a = img[a]
+                b = img[b]
+                k = a * w + b
             orbits.append(ProductOrbit(tuple(pts)))
     return orbits
 

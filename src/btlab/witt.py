@@ -29,6 +29,7 @@ building the full addition and multiplication tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,8 +38,8 @@ from .polynomials import NonIntegralCoefficient, Poly, PolyRing
 
 __all__ = [
     "WittVec",
-    "WittPoly",
     "NotPrime",
+    "PrimeTooLarge",
     "LengthMismatch",
     "PrimeMismatch",
     "TableTooLarge",
@@ -59,10 +60,12 @@ __all__ = [
     "RingIsoReport",
 ]
 
-WittPoly = Poly
-
 
 class NotPrime(InputError):
+    pass
+
+
+class PrimeTooLarge(InputError):
     pass
 
 
@@ -78,8 +81,42 @@ class TableTooLarge(InputError):
     pass
 
 
+#: Primes are accepted below this bound, where the Miller-Rabin bases
+#: below are a proof of primality, not a probabilistic test.
+PRIME_LIMIT = 2**64
+# The first 12 primes: as Miller-Rabin bases they decide every n < 3.18e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Below this bound trial division needs at most 256 divisors.
+_TRIAL_LIMIT = 1 << 16
+
+
+def _is_prime(p: int) -> bool:
+    if p < _TRIAL_LIMIT:
+        return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+    if any(p % q == 0 for q in _MR_BASES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if p >= PRIME_LIMIT:
+        raise PrimeTooLarge(f"p must be below 2^64, got a {p.bit_length()}-bit number")
+    if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
 
 

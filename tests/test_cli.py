@@ -200,6 +200,14 @@ class TestArgumentErrors:
             ["oracle", "--c", "1", "--d", "1", "--perm", "(1 2)", "--level", "0"],
             ["verify", "--max-h", "1"],
             ["witt-polys", "--p", "2", "--len", "0"],
+            # primes are accepted only below 2^64
+            ["witt-eval", "--p", str(10**400 + 1), "--len", "1", "--lhs", "1", "--rhs", "1"],
+            ["witt-eval", "--p", str(2**64 + 13), "--len", "1", "--lhs", "1", "--rhs", "1"],
+            ["invariants", "--c", "1", "--d", "1", "--perm", "(1 2)", "--max-level", "3000000"],
+            ["oracle", "--c", "1", "--d", "1", "--perm", "(1 2)", "--level", "10001"],
+            # 50^2 * 401 oracle vertices, just over the cap
+            ["oracle", "--c", "25", "--d", "25", "--perm", "(1 2)", "--degree", "50",
+             "--level", "401"],
         ],
     )
     def test_bad_numeric_flags_exit_two(self, capsys, argv):
@@ -207,3 +215,4 @@ class TestArgumentErrors:
         assert code == 2
         assert out == ""
         assert "must be" in err
+        assert err.count("\n") == 1

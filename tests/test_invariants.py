@@ -1,8 +1,14 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import btlab.invariants
+from btlab.cli import main
 from btlab.invariants import (
+    MAX_LEVEL,
+    LevelTooLarge,
     Segment,
     a_n,
     circular_level,
@@ -10,12 +16,33 @@ from btlab.invariants import (
     gamma,
     invariant_report,
     isomorphism_number,
+    level_histogram,
     orbit_profiles,
     segment_scan,
 )
-from btlab.permutations import Permutation, Signature, parse_permutation
+from btlab.permutations import Permutation, Signature, pair_orbits, parse_permutation
 
 epsilon_seqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=12).map(tuple)
+long_epsilon_seqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=60).map(tuple)
+
+
+def reference_segment_scan(e):
+    """The definition, walked out: from every -1, follow the cyclic partial
+    sums for at most |e| steps until they first return to 0."""
+    l = len(e)
+    segments = []
+    for s0 in range(l):
+        if e[s0] != -1:
+            continue
+        total = 0
+        deepest = 0
+        for k in range(l):
+            total += e[(s0 + k) % l]
+            deepest = min(deepest, total)
+            if total == 0:
+                segments.append(Segment(s0 + 1, k + 1, -deepest))
+                break
+    return tuple(segments)
 
 
 def long_cycle(h):
@@ -38,6 +65,30 @@ class TestSegmentScan:
     def test_three_level_example(self):
         segs = segment_scan((-1, 0, -1, -1, 1, 1, 0, 1))
         assert set(segs) == {Segment(1, 8, 3), Segment(3, 4, 2), Segment(4, 2, 1)}
+
+    def test_full_length_segment_when_total_is_zero(self):
+        assert segment_scan((-1, 0, -1, 1, 0, 1)) == (
+            Segment(1, 6, 2),
+            Segment(3, 2, 1),
+        )
+
+    @given(long_epsilon_seqs)
+    @example((-1,))
+    @example((0,))
+    @example((1,))
+    @example((-1,) * 7)
+    @example((0,) * 7)
+    @example((-1, 0, -1, 1, 0, 1))
+    @example((1, 1, -1, -1))
+    def test_matches_quadratic_reference(self, e):
+        assert segment_scan(e) == reference_segment_scan(e)
+
+    def test_matches_reference_on_long_sequences(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            l = rng.randint(50, 400)
+            e = tuple(rng.choice((-1, 0, 1)) for _ in range(l))
+            assert segment_scan(e) == reference_segment_scan(e)
 
     def test_unbalanced_start_yields_nothing(self):
         assert segment_scan((-1, 0)) == ()
@@ -80,6 +131,14 @@ class TestAn:
         neg = tuple(-v for v in e)
         for n in range(1, len(e) + 1):
             assert a_n(e, n) == a_n(neg, n)
+
+
+class TestLevelHistogram:
+    @given(epsilon_seqs, st.integers(1, 14))
+    def test_counts_match_a_n(self, e, max_level):
+        assert level_histogram(segment_scan(e), max_level) == [
+            a_n(e, n) for n in range(1, max_level + 1)
+        ]
 
 
 class TestCircularLevel:
@@ -200,6 +259,55 @@ class TestInvariantReport:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             invariant_report(Permutation((1, 2)), Signature(2, 2), 3)
+
+    def test_level_cap(self):
+        p, sig = Permutation((2, 1)), Signature(1, 1)
+        assert len(invariant_report(p, sig, MAX_LEVEL).gamma) == MAX_LEVEL
+        with pytest.raises(LevelTooLarge, match="must be"):
+            invariant_report(p, sig, MAX_LEVEL + 1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tables_match_per_level_definitions(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            h = rng.randint(1, 12)
+            images = list(range(1, h + 1))
+            rng.shuffle(images)
+            d = rng.randint(0, h)
+            perm, sig = Permutation(tuple(images)), Signature(h - d, d)
+            max_level = rng.randint(1, 15)
+            rep = invariant_report(perm, sig, max_level)
+            levels = range(1, max_level + 1)
+            assert rep.gamma == tuple(gamma(rep.profiles, m) for m in levels)
+            assert rep.c_exponent == tuple(
+                component_exponent(rep.profiles, m) for m in levels
+            )
+
+
+class TestOneScanPerOrbit:
+    """The CLI renders every level from one scan per orbit; a per-level
+    re-scan would make the call count grow with the level."""
+
+    PERM = "3,5,1,6,2,4"
+
+    @pytest.mark.parametrize("level", [4, 400])
+    @pytest.mark.parametrize(
+        "command,level_flag", [("invariants", "--max-level"), ("oracle", "--level")]
+    )
+    def test_scan_calls_equal_orbit_count(self, monkeypatch, capsys, command, level_flag, level):
+        calls = []
+        real_scan = btlab.invariants.segment_scan
+
+        def counting_scan(e):
+            calls.append(e)
+            return real_scan(e)
+
+        monkeypatch.setattr(btlab.invariants, "segment_scan", counting_scan)
+        code = main([command, "--c", "3", "--d", "3", "--perm", self.PERM,
+                     level_flag, str(level), "--format", "json"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == len(pair_orbits(parse_permutation(self.PERM)))
 
 
 @st.composite

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,23 @@ from btlab.permutations import (
     pair_orbits,
     parse_permutation,
 )
+
+
+def reference_pair_orbits(p):
+    """Lexicographic scan of J^2 with visited pairs kept as a set of tuples."""
+    seen = set()
+    orbits = []
+    for i in range(1, p.h + 1):
+        for j in range(1, p.h + 1):
+            pts = []
+            a, b = i, j
+            while (a, b) not in seen:
+                seen.add((a, b))
+                pts.append((a, b))
+                a, b = p(a), p(b)
+            if pts:
+                orbits.append(tuple(pts))
+    return orbits
 
 
 def perms(max_h=7):
@@ -114,6 +133,12 @@ class TestPairOrbits:
             ((1, 1), (2, 2)),
             ((1, 2), (2, 1)),
         ]
+
+    @pytest.mark.parametrize("h", range(1, 6))
+    def test_matches_set_of_tuples_reference_on_all_of_s_h(self, h):
+        for images in permutations(range(1, h + 1)):
+            p = Permutation(images)
+            assert [o.points for o in pair_orbits(p)] == reference_pair_orbits(p)
 
     def test_format_invariance(self):
         a = pair_orbits(parse_permutation("4,5,1,2,3"))

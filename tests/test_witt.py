@@ -10,6 +10,7 @@ from btlab.witt import (
     LengthMismatch,
     NotPrime,
     PrimeMismatch,
+    PrimeTooLarge,
     TableTooLarge,
     WittVec,
     frobenius,
@@ -208,6 +209,46 @@ class TestVectorOps:
             witt_add(WittVec(2, (1, 0)), WittVec(3, (1, 0)))
         with pytest.raises(NotPrime):
             WittVec(4, (1, 0))
+
+
+class TestPrimality:
+    @staticmethod
+    def trial_division(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    @staticmethod
+    def accepted(p):
+        try:
+            WittVec(p, (1,))
+        except NotPrime:
+            return False
+        return True
+
+    def test_agrees_with_trial_division(self):
+        for n in list(range(-3, 3000)) + list(range(2**16 - 500, 2**16 + 3000)):
+            assert self.accepted(n) == self.trial_division(n), n
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 2**64 - 59])
+    def test_large_primes_accepted(self, p):
+        assert WittVec(p, (p + 1,)).components == (1,)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+            3825123056546413051,  # strong pseudoprime to bases 2..23
+            (2**32 - 5) * (2**32 - 17),
+            2**64 - 1,
+        ],
+    )
+    def test_pseudoprimes_and_composites_rejected(self, n):
+        with pytest.raises(NotPrime):
+            WittVec(n, (1,))
+
+    @pytest.mark.parametrize("p", [2**64, 10**400 + 1])
+    def test_primes_from_2_to_the_64_rejected(self, p):
+        with pytest.raises(PrimeTooLarge, match="must be below 2\\^64"):
+            WittVec(p, (1,))
 
 
 class TestOperatorIdentities:

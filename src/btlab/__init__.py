@@ -41,6 +41,7 @@ from .kraft import (
     CircularWord,
     CountMismatch,
     EmptyWord,
+    TooManyClasses,
     canonical_rotation,
     count_bt1,
     dual_word,
@@ -62,6 +63,7 @@ from .permutations import (
     parse_permutation,
 )
 from .witt import (
+    LawTooLarge,
     LengthMismatch,
     NonIntegralCoefficient,
     NotPrime,

@@ -31,6 +31,20 @@ class CountMismatch(VerificationError):
     pass
 
 
+class TooManyClasses(InputError):
+    pass
+
+
+#: enumerate_bt1 refuses signatures with more classes than this, that is
+#: binomial(c+d, c): (8,8) has 12,870 classes and takes 0.7 s, (9,9) has
+#: 48,620 and takes 4.8 s, and (14,14) about 4e7.
+MAX_BT1_CLASSES = 20_000
+#: The word pool grows faster than the class count on lopsided signatures
+#: ((0, 10^9) has one class and never finishes), so h is capped as well:
+#: (3,37) takes 2.7 s.
+MAX_BT1_HEIGHT = 40
+
+
 @dataclass(frozen=True, order=True)
 class CircularWord:
     """Word over {F,V} stored in its least rotation (F < V)."""
@@ -133,6 +147,11 @@ def aperiodic_necklaces(f: int, v: int) -> list[CircularWord]:
 
 def enumerate_bt1(sig: Signature) -> list[BTClass]:
     """All classes for the signature, canonically ordered."""
+    if sig.h > MAX_BT1_HEIGHT or math.comb(sig.h, sig.c) > MAX_BT1_CLASSES:
+        raise TooManyClasses(
+            f"c+d must be at most {MAX_BT1_HEIGHT} and binomial(c+d, c) at most "
+            f"{MAX_BT1_CLASSES}, got ({sig.c},{sig.d})"
+        )
     pool: list[tuple[CircularWord, int, int]] = []
     for f in range(sig.c + 1):
         for v in range(sig.d + 1):

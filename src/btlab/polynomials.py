@@ -118,7 +118,7 @@ class Poly:
     def __init__(self, ring: PolyRing, terms: dict[int, int]):
         self.ring = ring
         self.terms = terms
-        self._eval_cache: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        self._eval_cache: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
 
     # -- arithmetic -------------------------------------------------------
 
@@ -216,21 +216,48 @@ class Poly:
         return sorted(self.terms, key=order)
 
     def eval_mod(self, values: Sequence[int], p: int) -> int:
-        """Evaluate at ``values`` (one per variable) in Z/p."""
+        """Evaluate at ``values`` (one per variable) in F_p; p must be prime.
+
+        The first call for a given p caches this polynomial as a function
+        on F_p^k: coefficients mod p, and each exponent e >= 1 replaced by
+        ((e - 1) mod (p - 1)) + 1, which is exact because a^p = a on F_p.
+        Monomials that coincide are merged and zero terms dropped.
+        """
         cached = self._eval_cache.get(p)
         if cached is None:
-            cached = [(self.ring.unpack(k), c % p) for k, c in self.terms.items()]
-            self._eval_cache[p] = cached
+            cached = self._eval_cache[p] = self._reduced_terms(p)
         total = 0
-        for exps, c in cached:
-            if c == 0:
-                continue
+        for c, factors in cached:
             term = c
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * pow(v, e, p) % p
+            for i, e in factors:
+                term *= values[i] if e == 1 else pow(values[i], e, p)
             total += term
         return total % p
+
+    def _reduced_terms(self, p: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """``(coeff, ((var, exp), ...))`` per term of the reduced function on F_p."""
+        bits, mask, q = self.ring.bits, self.ring._field_mask, p - 1
+        merged: dict[int, int] = {}
+        for key, c in self.terms.items():
+            c %= p
+            if not c:
+                continue
+            reduced, shift, k = 0, 0, key
+            while k:
+                e = k & mask
+                if e >= p:
+                    e = (e - 1) % q + 1
+                reduced |= e << shift
+                k >>= bits
+                shift += bits
+            merged[reduced] = merged.get(reduced, 0) + c
+        out = []
+        for key, c in merged.items():
+            c %= p
+            if c:
+                exps = self.ring.unpack(key)
+                out.append((c, tuple((i, e) for i, e in enumerate(exps) if e)))
+        return out
 
     # -- rendering ------------------------------------------------------------
 

@@ -43,6 +43,7 @@ __all__ = [
     "LengthMismatch",
     "PrimeMismatch",
     "TableTooLarge",
+    "LawTooLarge",
     "NonIntegralCoefficient",
     "ghost_polynomial",
     "ghost_apply",
@@ -78,6 +79,10 @@ class PrimeMismatch(InputError):
 
 
 class TableTooLarge(InputError):
+    pass
+
+
+class LawTooLarge(InputError):
     pass
 
 
@@ -118,6 +123,63 @@ def _check_prime(p: int) -> None:
         raise PrimeTooLarge(f"p must be below 2^64, got a {p.bit_length()}-bit number")
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
+
+
+#: ring_iso_table checks every pair of the p^n vectors, so it refuses
+#: tables with more pairs than this (p^n above 100).
+MAX_TABLE_PAIRS = 10_000
+#: The laws of length n reach exponent p^(n-1) (in x_0 and y_0); building
+#: them is refused above this, because the cost climbs steeply with it:
+#: (17,3) takes 1.5 s, (19,3) 2.8 s, (23,3) 20 s, and (10007,2) does not
+#: finish.
+MAX_LAW_WEIGHT = 300
+#: Building is also refused when the top sum law has more candidate
+#: monomials than this (see _law_monomials): (3,5) has 115,602 and
+#: `witt-polys` takes 7.5 s, while (2,7) has 1,357,608 and does not
+#: finish in 120 s.
+MAX_LAW_MONOMIALS = 200_000
+
+
+def _power_within(p: int, k: int, limit: int) -> int | None:
+    """p**k if it is at most ``limit``, else None; never builds a larger int."""
+    value = 1
+    for _ in range(k):
+        value *= p
+        if value > limit:
+            return None
+    return value
+
+
+def _law_monomials(p: int, n: int) -> int:
+    """Monomials of weight p^(n-1) in x_0..x_{n-1}, y_0..y_{n-1}, with
+    x_i and y_i of weight p^i: the terms S_{n-1} can have, since it is
+    isobaric of that weight."""
+    weight = p ** (n - 1)
+    ways = [1] + [0] * weight
+    for i in range(n):
+        step = p**i
+        for _ in range(2):
+            for t in range(step, weight + 1):
+                ways[t] += ways[t - step]
+    return ways[weight]
+
+
+def _check_law(p: int, n: int) -> None:
+    """Validate (p, n) before any law of that length is built."""
+    _check_prime(p)
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    if _power_within(p, n - 1, MAX_LAW_WEIGHT) is None:
+        raise LawTooLarge(
+            f"p^(n-1) must be at most {MAX_LAW_WEIGHT} to build the laws, "
+            f"got {p}^{n - 1}"
+        )
+    monomials = _law_monomials(p, n)
+    if monomials > MAX_LAW_MONOMIALS:
+        raise LawTooLarge(
+            f"the candidate monomials of the top law must be at most "
+            f"{MAX_LAW_MONOMIALS}, p={p}, n={n} has {monomials}"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -172,9 +234,7 @@ def _solve_law(p: int, n: int, ring: PolyRing, rhs_for_level) -> tuple[Poly, ...
 @lru_cache(maxsize=None)
 def sum_polynomials(p: int, n: int) -> tuple[Poly, ...]:
     """S_0..S_{n-1} with w_l(S) = w_l(x) + w_l(y)."""
-    _check_prime(p)
-    if n < 1:
-        raise ValueError("length must be >= 1")
+    _check_law(p, n)
     ring = _xy_ring(p, n)
     return _solve_law(
         p, n, ring,
@@ -185,9 +245,7 @@ def sum_polynomials(p: int, n: int) -> tuple[Poly, ...]:
 @lru_cache(maxsize=None)
 def product_polynomials(p: int, n: int) -> tuple[Poly, ...]:
     """P_0..P_{n-1} with w_l(P) = w_l(x) * w_l(y)."""
-    _check_prime(p)
-    if n < 1:
-        raise ValueError("length must be >= 1")
+    _check_law(p, n)
     ring = _xy_ring(p, n)
     return _solve_law(
         p, n, ring,
@@ -198,9 +256,7 @@ def product_polynomials(p: int, n: int) -> tuple[Poly, ...]:
 @lru_cache(maxsize=None)
 def negation_polynomials(p: int, n: int) -> tuple[Poly, ...]:
     """I_0..I_{n-1} with w_l(I) = -w_l(x); for odd p this is just -x_l."""
-    _check_prime(p)
-    if n < 1:
-        raise ValueError("length must be >= 1")
+    _check_law(p, n)
     ring = _x_ring(p, n)
     return _solve_law(p, n, ring, lambda l: -_ghost_of_vars(ring, p, l, 0))
 
@@ -287,9 +343,12 @@ def ring_iso_table(p: int, n: int) -> RingIsoReport:
     a bijection onto all p^n vectors and transport both ring tables.
     """
     _check_prime(p)
-    size = p**n
-    if size > 100_000:
-        raise TableTooLarge(f"p^n = {size} exceeds the enumeration guard")
+    size = _power_within(p, n, math.isqrt(MAX_TABLE_PAIRS))
+    if size is None:
+        raise TableTooLarge(
+            f"the ring table must be at most {MAX_TABLE_PAIRS} pairs of vectors, "
+            f"p={p}, n={n} has more"
+        )
     one = teichmuller(1, p, n)
     vec_of = [WittVec(p, (0,) * n)]
     for _ in range(size - 1):

@@ -208,6 +208,15 @@ class TestArgumentErrors:
             # 50^2 * 401 oracle vertices, just over the cap
             ["oracle", "--c", "25", "--d", "25", "--perm", "(1 2)", "--degree", "50",
              "--level", "401"],
+            # (p^n)^2 ring-table pairs: 9.6e9 and 1e10
+            ["witt-check", "--p", "313", "--len", "2"],
+            ["witt-check", "--p", "99991", "--len", "1"],
+            # p^(n-1) = 10007, and (2,7) with 1.4e6 candidate monomials
+            ["witt-eval", "--p", "10007", "--len", "2", "--lhs", "1,1", "--rhs", "1,1"],
+            ["witt-polys", "--p", "2", "--len", "7"],
+            # binomial(28,14) classes, and h beyond the height cap
+            ["enumerate-bt1", "--c", "14", "--d", "14"],
+            ["enumerate-bt1", "--c", "0", "--d", "1000000000"],
         ],
     )
     def test_bad_numeric_flags_exit_two(self, capsys, argv):
@@ -216,3 +225,4 @@ class TestArgumentErrors:
         assert out == ""
         assert "must be" in err
         assert err.count("\n") == 1
+

@@ -10,6 +10,7 @@ from btlab.kraft import (
     CircularWord,
     CountMismatch,
     EmptyWord,
+    TooManyClasses,
     aperiodic_necklaces,
     canonical_rotation,
     count_bt1,
@@ -159,6 +160,15 @@ class TestCounts:
 
     def test_mismatch_error_exists(self):
         assert issubclass(CountMismatch, Exception)
+
+    @pytest.mark.parametrize("c,d", [(7, 7), (5, 9)])
+    def test_guard_admits_benchmark_signatures(self, c, d):
+        assert count_bt1(Signature(c, d)) == math.comb(c + d, c)
+
+    @pytest.mark.parametrize("c,d", [(14, 14), (9, 9), (0, 41), (0, 10**9)])
+    def test_guard_rejects_oversized_signatures(self, c, d):
+        with pytest.raises(TooManyClasses, match="c\\+d must be at most"):
+            enumerate_bt1(Signature(c, d))
 
 
 class TestBTClass:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btlab import witt
+from btlab.polynomials import Poly
 from btlab.rng import SplitMix64
 from btlab.witt import (
+    LawTooLarge,
     LengthMismatch,
     NotPrime,
     PrimeMismatch,
@@ -289,3 +293,102 @@ class TestRingIsoTable:
     def test_guard(self):
         with pytest.raises(TableTooLarge):
             ring_iso_table(2, 17)
+
+    @pytest.mark.parametrize("p,n", [(313, 2), (99991, 1), (101, 1), (3, 10**9)])
+    def test_guard_bounds_pair_count(self, p, n):
+        with pytest.raises(TableTooLarge, match="pairs of vectors"):
+            ring_iso_table(p, n)
+
+    def test_guard_admits_largest_table_in_use(self):
+        assert ring_iso_table(7, 2).passed
+
+    def test_corrupted_sum_law_fails(self, monkeypatch):
+        # Raise one coefficient of the top sum law by 1.  The law is then a
+        # different function on F_p, so a table that really evaluates the
+        # polynomial laws must notice.
+        laws = sum_polynomials(2, 3)
+        top = laws[-1]
+        key = next(iter(top.terms))
+        corrupted = Poly(top.ring, {**top.terms, key: top.terms[key] + 1})
+        monkeypatch.setattr(witt, "sum_polynomials", lambda p, n: laws[:-1] + (corrupted,))
+        report = ring_iso_table(2, 3)
+        assert not report.passed
+        assert report.failure
+
+
+# -- evaluation of the laws as functions on F_p ----------------------------------
+
+
+def reference_eval(poly, values, p):
+    """Sum of c * prod v^e mod p over the unreduced integer terms."""
+    total = 0
+    for exps, c in poly.iter_terms():
+        term = c
+        for v, e in zip(values, exps):
+            term *= pow(v, e, p)
+        total += term
+    return total % p
+
+
+def all_laws(p, n):
+    return sum_polynomials(p, n) + product_polynomials(p, n) + negation_polynomials(p, n)
+
+
+class TestReducedEvaluation:
+    @pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 2)])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_unreduced_reference(self, p, n, data):
+        values = data.draw(st.lists(st.integers(-p, 3 * p), min_size=2 * n, max_size=2 * n))
+        for law in all_laws(p, n):
+            point = values[: len(law.ring.names)]
+            assert law.eval_mod(point, p) == reference_eval(law, point, p)
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+    def test_matches_unreduced_reference_everywhere(self, p, n):
+        for law in all_laws(p, n):
+            for point in itertools.product(range(p), repeat=len(law.ring.names)):
+                assert law.eval_mod(point, p) == reference_eval(law, point, p), point
+
+    @pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (11, 3)])
+    def test_cache_holds_reduced_terms(self, p, n):
+        for law in all_laws(p, n):
+            law.eval_mod((0,) * len(law.ring.names), p)
+            reduced = law._eval_cache[p]
+            assert len(reduced) <= len(law)
+            monomials = set()
+            for c, factors in reduced:
+                assert 0 < c < p
+                assert all(1 <= e <= p - 1 for _, e in factors)
+                assert [i for i, _ in factors] == sorted({i for i, _ in factors})
+                monomials.add(factors)
+            assert len(monomials) == len(reduced)
+
+    def test_reduced_sizes_at_2_5(self):
+        sizes = [len(law._reduced_terms(2)) for law in all_laws(2, 5)]
+        assert sizes[4] == 17  # S_4: 454 integer terms
+        assert sizes[9] == 26  # P_4: 710 integer terms
+
+
+class TestLawGuard:
+    # every (p, n) of the tests, goldens, README and benchmark workloads,
+    # plus the largest laws known to build: (5,4), (3,5), (2,6) and (17,3)
+    @pytest.mark.parametrize(
+        "p,n",
+        [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+         (7, 2), (7, 3), (11, 3), (13, 3), (5, 4), (3, 5), (2, 6), (17, 3)],
+    )
+    def test_admits_sizes_in_use(self, p, n):
+        witt._check_law(p, n)
+
+    @pytest.mark.parametrize("p", [2, 10007, 2**61 - 1, 2**64 - 59])
+    def test_length_one_admits_any_prime(self, p):
+        assert sum_polynomials(p, 1)[0].eval_mod((p - 1, 2), p) == 1
+
+    @pytest.mark.parametrize(
+        "p,n", [(10007, 2), (19, 3), (7, 4), (2, 7), (3, 6), (2, 10**9)]
+    )
+    def test_rejects_oversized_laws(self, p, n):
+        for build in (sum_polynomials, product_polynomials, negation_polynomials):
+            with pytest.raises(LawTooLarge, match="to build the laws|candidate monomials"):
+                build(p, n)

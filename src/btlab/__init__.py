@@ -50,6 +50,7 @@ from .kraft import (
     kraft_type,
 )
 from .permutations import (
+    DegreeTooLarge,
     DuplicateImage,
     EmptyInput,
     OutOfRange,

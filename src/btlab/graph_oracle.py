@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, VerificationError
-from .invariants import OrbitProfile, component_exponent, gamma, orbit_profiles
+from .invariants import OrbitProfile, invariant_report, orbit_profiles
 from .permutations import EpsilonSeq, Permutation, Signature
 
 Vertex = tuple[int, int]  # (orbit position s, Witt row r); s 1-based, r 0-based
@@ -179,20 +179,11 @@ def classify_components(g: GammaGraph) -> ComponentSummary:
     return ComponentSummary(free_paths, zeroed, tuple(sorted(cycles)))
 
 
-def oracle_invariants(p: Permutation, sig: Signature, m: int) -> tuple[int, int]:
-    """(dimension, component exponent) at level m, straight from the graphs."""
-    dimension = 0
-    exponent = 0
-    for prof in orbit_profiles(p, sig):
-        summary = classify_components(build_gamma_graph(prof.eps, m))
-        dimension += summary.free_paths
-        exponent += sum(cyc.weight for cyc in summary.cycles)
-    return dimension, exponent
+OrbitSummaries = list[tuple[OrbitProfile, ComponentSummary]]
 
 
-def orbit_summaries(
-    profiles: Sequence[OrbitProfile], m: int
-) -> list[tuple[OrbitProfile, ComponentSummary]]:
+def orbit_summaries(profiles: Sequence[OrbitProfile], m: int) -> OrbitSummaries:
+    """Build and classify the level-m graph of each orbit."""
     vertices = m * sum(len(prof.orbit) for prof in profiles)
     if vertices > MAX_ORACLE_VERTICES:
         raise GraphTooLarge(
@@ -202,6 +193,21 @@ def orbit_summaries(
         (prof, classify_components(build_gamma_graph(prof.eps, m)))
         for prof in profiles
     ]
+
+
+def oracle_totals(summaries: OrbitSummaries) -> tuple[int, int]:
+    """(dimension, component exponent): free paths and cycle weights summed
+    over the orbits."""
+    dimension = exponent = 0
+    for _, summary in summaries:
+        dimension += summary.free_paths
+        exponent += sum(cyc.weight for cyc in summary.cycles)
+    return dimension, exponent
+
+
+def oracle_invariants(p: Permutation, sig: Signature, m: int) -> tuple[int, int]:
+    """(dimension, component exponent) at level m, straight from the graphs."""
+    return oracle_totals(orbit_summaries(orbit_profiles(p, sig), m))
 
 
 @dataclass(frozen=True)
@@ -219,12 +225,13 @@ class CrossCheck:
 
 
 def cross_check(p: Permutation, sig: Signature, max_level: int) -> CrossCheck:
-    """Compare the closed-form invariants with the graph oracle for
-    m = 1..max_level; also require every cycle weight to equal its orbit
-    length.  Returns the first counterexample instead of raising."""
+    """Compare the gamma and c_m tables of ``invariant_report`` with the
+    graph oracle for m = 1..max_level; also require every cycle weight to
+    equal its orbit length.  Returns the first counterexample instead of
+    raising."""
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    profiles = orbit_profiles(p, sig)
+    report = invariant_report(p, sig, max_level)
 
     def fail(m, kind, formula_value, oracle_value):
         return CrossCheck(
@@ -233,19 +240,16 @@ def cross_check(p: Permutation, sig: Signature, max_level: int) -> CrossCheck:
         )
 
     for m in range(1, max_level + 1):
-        dimension = 0
-        exponent = 0
-        for prof in profiles:
-            summary = classify_components(build_gamma_graph(prof.eps, m))
-            dimension += summary.free_paths
+        summaries = orbit_summaries(report.profiles, m)
+        for prof, summary in summaries:
             for cyc in summary.cycles:
                 if cyc.weight != len(prof.orbit):
                     return fail(m, "cycle-weight", len(prof.orbit), cyc.weight)
-            exponent += sum(cyc.weight for cyc in summary.cycles)
-        g = gamma(profiles, m)
+        dimension, exponent = oracle_totals(summaries)
+        g = report.gamma[m - 1]
         if dimension != g:
             return fail(m, "dimension", g, dimension)
-        ce = component_exponent(profiles, m)
+        ce = report.c_exponent[m - 1]
         if exponent != ce:
             return fail(m, "exponent", ce, exponent)
     return CrossCheck(p, sig.c, sig.d, max_level, True, None)

@@ -1,11 +1,11 @@
 """Exact multivariate polynomials over the integers.
 
 Built for the Witt-law recursions: coefficients are arbitrary-precision
-ints, exponent vectors are packed into a single int key (a fixed bit
+ints, and exponent vectors are packed into a single int key (a fixed bit
 field per variable, wide enough that key addition never carries between
-fields), and the only hot operation - multiply-accumulate - is delegated
-to a kernel.  The compiled Cython kernel is used when the extension
-built; set BTLAB_PURE_PYTHON=1 to force the pure-Python fallback.
+fields), so multiplying two monomials is one int addition.  The hot
+operation, the multiply-accumulate loop in ``Poly.__mul__``, is plain
+Python over dicts; there is no compiled kernel.
 
 Division only ever happens by powers of p and must be exact; a remainder
 means the integrality guarantee of the Witt construction was violated
@@ -15,21 +15,9 @@ silently rounded.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Sequence
 
 from .errors import VerificationError
-
-if os.environ.get("BTLAB_PURE_PYTHON") == "1":
-    from . import _poly_kernel_py as _kernel
-else:
-    try:
-        from . import _poly_kernel as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _poly_kernel_py as _kernel
-
-KERNEL_NAME: str = _kernel.KERNEL_NAME
-_mul = _kernel.mul
 
 
 class NonIntegralCoefficient(VerificationError):
@@ -126,34 +114,46 @@ class Poly:
         if self.ring != other.ring:
             raise ValueError("polynomials from different rings")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _merge(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, for sign in {1, -1}."""
         self._check(other)
         out = dict(self.terms)
+        get = out.get
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
+            s = get(k, 0) + sign * c
             if s:
                 out[k] = s
             else:
                 del out[k]
         return Poly(self.ring, out)
 
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._merge(other, 1)
+
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) - c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return Poly(self.ring, out)
+        return self._merge(other, -1)
 
     def __neg__(self) -> "Poly":
         return Poly(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """Multiply-accumulate: each pair of terms adds its packed keys."""
         self._check(other)
-        return Poly(self.ring, _mul(self.terms, other.terms))
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                prev = get(k)
+                if prev is None:
+                    out[k] = ca * cb
+                else:
+                    out[k] = prev + ca * cb
+        # signed coefficients can cancel
+        return Poly(self.ring, {k: c for k, c in out.items() if c})
 
     def scale(self, c: int) -> "Poly":
         if c == 0:

@@ -5,9 +5,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .errors import InputError
 from .graph_oracle import CrossCheck, cross_check
 from .permutations import Permutation, Signature
 from .rng import SplitMix64
+
+#: A sweep checks levels 1..max_level of every case, and a case of degree
+#: h expands h^2 * m graph vertices at level m, so a sweep expands at most
+#: samples * max_h^2 * max_level * (max_level + 1) / 2.  Sweeps above this
+#: bound are refused: (2, 80, 60) expands up to 2.3e7 and takes 7.2 s.
+MAX_SWEEP_VERTICES = 1_000_000
+#: Each case also has a fixed cost of about 0.1 ms, which the vertex bound
+#: does not see when h is small: 10,000 cases at max_h = 2 take 1.3 s.
+MAX_SWEEP_SAMPLES = 10_000
+
+
+class SweepTooLarge(InputError):
+    pass
+
+
+def _check_sweep(samples: int, max_h: int, max_level: int) -> None:
+    if samples > MAX_SWEEP_SAMPLES:
+        raise SweepTooLarge(
+            f"verify samples must be <= {MAX_SWEEP_SAMPLES}, got {samples}"
+        )
+    vertices = samples * max_h**2 * max_level * (max_level + 1) // 2
+    if vertices > MAX_SWEEP_VERTICES:
+        raise SweepTooLarge(
+            f"verify graph vertices (samples * max_h^2 * max_level(max_level+1)/2) "
+            f"must be <= {MAX_SWEEP_VERTICES}, got {vertices}"
+        )
 
 
 def random_cases(samples: int, max_h: int, seed: int) -> Iterator[tuple[Permutation, Signature]]:
@@ -54,6 +81,7 @@ class SweepResult:
 
 
 def verification_sweep(samples: int, max_h: int, max_level: int, seed: int) -> SweepResult:
+    _check_sweep(samples, max_h, max_level)
     checks = tuple(
         cross_check(p, sig, max_level) for p, sig in random_cases(samples, max_h, seed)
     )

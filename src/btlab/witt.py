@@ -193,16 +193,20 @@ def _x_ring(p: int, n: int) -> PolyRing:
     return PolyRing([f"x_{i}" for i in range(n)], max_exponent=p ** max(n - 1, 1))
 
 
+def _ghost_of_vars(ring: PolyRing, p: int, l: int, offset: int) -> Poly:
+    """w_l in the ring variables offset..offset+l."""
+    acc = ring.zero()
+    for i in range(l + 1):
+        acc = acc + ring.var(offset + i, exponent=p ** (l - i), coeff=p**i)
+    return acc
+
+
 def ghost_polynomial(p: int, l: int) -> Poly:
     """The l-th ghost polynomial in variables x_0..x_l."""
     _check_prime(p)
     if l < 0:
         raise ValueError("ghost index must be >= 0")
-    ring = PolyRing([f"x_{i}" for i in range(l + 1)], max_exponent=p ** max(l, 1))
-    acc = ring.zero()
-    for i in range(l + 1):
-        acc = acc + ring.var(i, exponent=p ** (l - i), coeff=p**i)
-    return acc
+    return _ghost_of_vars(_x_ring(p, l + 1), p, l, 0)
 
 
 def ghost_apply(polys: tuple[Poly, ...], p: int, l: int) -> Poly:
@@ -210,13 +214,6 @@ def ghost_apply(polys: tuple[Poly, ...], p: int, l: int) -> Poly:
     acc = polys[0].ring.zero()
     for i in range(l + 1):
         acc = acc + (polys[i] ** (p ** (l - i))).scale(p**i)
-    return acc
-
-
-def _ghost_of_vars(ring: PolyRing, p: int, l: int, offset: int) -> Poly:
-    acc = ring.zero()
-    for i in range(l + 1):
-        acc = acc + ring.var(offset + i, exponent=p ** (l - i), coeff=p**i)
     return acc
 
 

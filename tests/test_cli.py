@@ -217,6 +217,14 @@ class TestArgumentErrors:
             # binomial(28,14) classes, and h beyond the height cap
             ["enumerate-bt1", "--c", "14", "--d", "14"],
             ["enumerate-bt1", "--c", "0", "--d", "1000000000"],
+            # verify: 2.3e7 graph vertices, and more cases than the cap
+            ["verify", "--samples", "2", "--max-h", "80", "--max-level", "60"],
+            ["verify", "--samples", "10001", "--max-h", "2", "--max-level", "1"],
+            # witt-check identity samples
+            ["witt-check", "--p", "2", "--len", "2", "--samples", "100000000"],
+            # cycle notation with a degree that would create 10^10 pairs
+            ["invariants", "--c", "100000", "--d", "0", "--perm", "(1 2)",
+             "--degree", "100000"],
         ],
     )
     def test_bad_numeric_flags_exit_two(self, capsys, argv):

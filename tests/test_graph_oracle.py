@@ -12,6 +12,7 @@ from btlab.graph_oracle import (
     classify_components,
     cross_check,
     oracle_invariants,
+    orbit_summaries,
 )
 from btlab.invariants import gamma, orbit_profiles
 from btlab.permutations import Permutation, Signature, parse_permutation
@@ -169,6 +170,15 @@ class TestOracleInvariants:
     def test_degenerate_signature(self):
         for p in (Permutation((1, 2)), parse_permutation("(1 2)")):
             assert oracle_invariants(p, Signature(0, 2), 3) == (0, 12)
+
+    @given(st.permutations(range(1, 7)), st.integers(0, 6), levels)
+    def test_equals_tally_of_orbit_summaries(self, images, d, m):
+        p = Permutation(tuple(images))
+        sig = Signature(6 - d, d)
+        summaries = orbit_summaries(orbit_profiles(p, sig), m)
+        dimension = sum(summary.free_paths for _, summary in summaries)
+        exponent = sum(cyc.weight for _, summary in summaries for cyc in summary.cycles)
+        assert oracle_invariants(p, sig, m) == (dimension, exponent)
 
 
 class TestCrossCheck:

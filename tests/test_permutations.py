@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from btlab.permutations import (
+    MAX_DEGREE,
+    DegreeTooLarge,
     DuplicateImage,
     EmptyInput,
     OutOfRange,
@@ -92,6 +94,20 @@ class TestParsing:
     def test_one_line_degree_mismatch(self):
         with pytest.raises(OutOfRange):
             parse_permutation("2,1", degree=3)
+
+    def test_degree_guard(self):
+        # h = 1000 is admitted in both notations, one more is not
+        assert parse_permutation("(1 2)", degree=MAX_DEGREE).h == 1000
+        one_line = ",".join(str(i) for i in range(1, MAX_DEGREE + 1))
+        assert parse_permutation(one_line).h == 1000
+        with pytest.raises(DegreeTooLarge, match="must be <= 1000"):
+            parse_permutation("(1 2)", degree=MAX_DEGREE + 1)
+        with pytest.raises(DegreeTooLarge):
+            parse_permutation(one_line + ",1001")
+        with pytest.raises(DegreeTooLarge):
+            parse_permutation("(1 2)", degree=10**12)
+        with pytest.raises(DegreeTooLarge):
+            parse_permutation(f"(1 {10**20})")
 
     def test_formats_agree(self):
         assert parse_permutation("4,5,1,2,3") == parse_permutation("(1 4 2 5 3)")

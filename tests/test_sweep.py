@@ -1,5 +1,13 @@
+import pytest
+
+from btlab import sweep
 from btlab.rng import SplitMix64
-from btlab.sweep import random_cases, random_epsilon_sequences, verification_sweep
+from btlab.sweep import (
+    SweepTooLarge,
+    random_cases,
+    random_epsilon_sequences,
+    verification_sweep,
+)
 
 
 class TestSplitMix64:
@@ -53,6 +61,21 @@ class TestEpsilonStream:
 
 
 class TestVerificationSweep:
+    @pytest.mark.parametrize(
+        "samples,max_h,max_level",
+        # the CLI default, the benchmark sweeps, and the sweeps in the tests
+        [(200, 7, 4), (100, 12, 6), (15, 24, 8), (50, 6, 4), (40, 6, 3), (30, 5, 4)],
+    )
+    def test_guard_admits_sweeps_in_use(self, samples, max_h, max_level):
+        sweep._check_sweep(samples, max_h, max_level)
+
+    @pytest.mark.parametrize(
+        "samples,max_h,max_level", [(2, 80, 60), (1, 100, 14), (10_001, 2, 1)]
+    )
+    def test_guard_refuses_oversized_sweeps(self, samples, max_h, max_level):
+        with pytest.raises(SweepTooLarge, match="must be <="):
+            verification_sweep(samples, max_h, max_level, seed=0)
+
     def test_small_sweep_passes(self):
         result = verification_sweep(samples=40, max_h=6, max_level=3, seed=123)
         assert result.ok

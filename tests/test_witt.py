@@ -64,6 +64,15 @@ class TestGhost:
         with pytest.raises(NotPrime):
             ghost_polynomial(6, 1)
 
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 3)])
+    def test_matches_the_ghost_of_the_law_recursion(self, p, n):
+        # sum_polynomials builds w_l(x) and w_l(y) in the ring of x and y
+        ring = witt._xy_ring(p, n)
+        for l in range(n):
+            assert ghost_polynomial(p, l).render() == witt._ghost_of_vars(ring, p, l, 0).render()
+            y_ghost = witt._ghost_of_vars(ring, p, l, n).render()
+            assert y_ghost == ghost_polynomial(p, l).render().replace("x_", "y_")
+
 
 def closed_form_s1(p):
     ring = sum_polynomials(p, 2)[1].ring

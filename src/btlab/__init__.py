@@ -26,6 +26,7 @@ from .invariants import (
     InvariantReport,
     LevelTooLarge,
     OrbitProfile,
+    ReportTooLarge,
     Segment,
     a_n,
     circular_level,

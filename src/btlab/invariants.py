@@ -40,15 +40,30 @@ from .permutations import (
     ProductOrbit,
     Signature,
     epsilon_sequence,
+    pair_orbit_count,
     pair_orbits,
 )
 
 #: Largest level an invariant report tabulates.  Each level adds one
 #: entry per orbit to the rendered ``a`` lists and one to each table.
 MAX_LEVEL = 10_000
+#: The rendered report has one row per orbit of (pi, pi) with max_level
+#: ``a`` entries, and neither the level cap nor the degree cap bounds
+#: their product (about h^2 orbits at h = 1000).  The size of a report is
+#: orbits * (max_level + ORBIT_ROW_COST), where ORBIT_ROW_COST is what
+#: a row costs besides its ``a`` entries, counted in ``a`` entries of the
+#: JSON form (about 0.7 us and 90 bytes each).  At MAX_REPORT_SIZE the
+#: JSON form takes about 1.5 s and 200 MB; a random h = 1000 report at
+#: the default level has about 1,400 orbits and a size under 10^5.
+ORBIT_ROW_COST = 50
+MAX_REPORT_SIZE = 2_000_000
 
 
 class LevelTooLarge(InputError):
+    pass
+
+
+class ReportTooLarge(InputError):
     pass
 
 
@@ -223,6 +238,12 @@ def invariant_report(p: Permutation, sig: Signature, max_level: int) -> Invarian
         raise ValueError("max_level must be >= 1")
     if max_level > MAX_LEVEL:
         raise LevelTooLarge(f"max level must be <= {MAX_LEVEL}, got {max_level}")
+    orbits = pair_orbit_count(p)
+    if orbits * (max_level + ORBIT_ROW_COST) > MAX_REPORT_SIZE:
+        raise ReportTooLarge(
+            f"orbits * (max level + {ORBIT_ROW_COST}) must be <= {MAX_REPORT_SIZE}, "
+            f"got {orbits} * ({max_level} + {ORBIT_ROW_COST})"
+        )
     profiles = tuple(orbit_profiles(p, sig))
     n_iso = isomorphism_number(profiles)
     # gamma(n_iso) without tabulating that far: every segment has level <= n_iso

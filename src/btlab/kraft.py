@@ -8,15 +8,19 @@ for k copies of u - and the letter-swap F<->V realizes Cartier duality.
 
 The word of a permutation cycle reads V at positions i <= d (where the
 lift multiplies by p) and F at positions i > d; collecting all cycles
-gives the class of the permutation's p-kernel.  Counting classes for a
-signature must give binomial(c+d, c), which is the built-in consistency
-check on all of these conventions.
+gives the class of the permutation's p-kernel.
+
+An aperiodic circular word in its least rotation is a Lyndon word, and
+every word factors uniquely as a non-increasing product of Lyndon words
+(Chen-Fox-Lyndon), so the classes of (c, d) correspond to the binomial(c+d, c)
+arrangements of c letters F and d letters V; ``enumerate_bt1`` lists them so.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .errors import InputError, VerificationError
@@ -36,12 +40,11 @@ class TooManyClasses(InputError):
 
 
 #: enumerate_bt1 refuses signatures with more classes than this, that is
-#: binomial(c+d, c): (8,8) has 12,870 classes and takes 0.7 s, (9,9) has
-#: 48,620 and takes 4.8 s, and (14,14) about 4e7.
+#: binomial(c+d, c), at about 15 us per class before rendering: (8,8) has
+#: 12,870 classes and takes 0.19 s, (9,9) 48,620 and 0.75 s, (14,14) 4e7.
 MAX_BT1_CLASSES = 20_000
-#: The word pool grows faster than the class count on lopsided signatures
-#: ((0, 10^9) has one class and never finishes), so h is capped as well:
-#: (3,37) takes 2.7 s.
+#: Each class costs O(c+d) too, and (0, 10^9) is a single class of 10^9
+#: letters, so h is capped as well: (3,37) takes 0.22 s.
 MAX_BT1_HEIGHT = 40
 
 
@@ -71,16 +74,25 @@ def canonical_rotation(letters: str) -> CircularWord:
     return CircularWord(best)
 
 
-def _least_period(letters: str) -> int:
+def lyndon_factors(letters: str) -> list[str]:
+    """The non-increasing Lyndon factors of ``letters`` (Duval, O(n))."""
     n = len(letters)
-    for q in range(1, n + 1):
-        if n % q == 0 and letters[:q] * (n // q) == letters:
-            return q
-    return n
+    factors = []
+    i = 0
+    while i < n:
+        j, k = i + 1, i
+        while j < n and letters[k] <= letters[j]:
+            k = i if letters[k] < letters[j] else k + 1
+            j += 1
+        while i <= k:
+            factors.append(letters[i : i + j - k])
+            i += j - k
+    return factors
 
 
 def is_aperiodic(w: CircularWord) -> bool:
-    return _least_period(w.letters) == len(w.letters)
+    s = w.letters  # a proper power u^k also occurs in s+s at shift |u|
+    return (s + s).find(s, 1) == len(s)
 
 
 def dual_word(w: CircularWord) -> CircularWord:
@@ -117,73 +129,60 @@ def _class_sort_key(cls: BTClass):
 def kraft_type(p: Permutation, sig: Signature) -> BTClass:
     """Class of the p-kernel attached to (pi, c, d).
 
-    Each cycle contributes its letter word; a periodic cycle word splits
-    into repeats of its aperiodic root.
+    Each cycle contributes its letter word; a periodic cycle word u^k
+    in its least rotation factors as k copies of its aperiodic root u.
     """
     if p.h != sig.h:
         raise ValueError(f"permutation degree {p.h} != c+d = {sig.h}")
     words = []
     for cyc in cycle_decomposition(p):
-        letters = "".join("V" if i <= sig.d else "F" for i in cyc)
-        q = _least_period(letters)
-        root = canonical_rotation(letters[:q])
-        words.extend([root] * (len(letters) // q))
+        necklace = canonical_rotation("".join("V" if i <= sig.d else "F" for i in cyc))
+        words.extend(map(CircularWord, lyndon_factors(necklace.letters)))
     return BTClass(tuple(words))
 
 
-def aperiodic_necklaces(f: int, v: int) -> list[CircularWord]:
-    """Aperiodic circular words containing exactly f times F and v times V."""
+def _arrangements(f: int, v: int):
+    """Every word with f letters F and v letters V, in increasing order."""
     n = f + v
-    if n == 0:
-        return []
-    found = set()
-    for positions in combinations(range(n), v):
-        letters = ["F"] * n
+    for positions in combinations(range(n), f):
+        letters = ["V"] * n
         for i in positions:
-            letters[i] = "V"
-        found.add(canonical_rotation("".join(letters)))
-    return sorted((w for w in found if is_aperiodic(w)), key=_word_sort_key)
+            letters[i] = "F"
+        yield "".join(letters)
+
+
+def aperiodic_necklaces(f: int, v: int) -> list[CircularWord]:
+    """Aperiodic circular words containing exactly f times F and v times V,
+    sorted: the arrangements that are a single Lyndon word."""
+    return [CircularWord(s) for s in _arrangements(f, v) if len(lyndon_factors(s)) == 1]
 
 
 def enumerate_bt1(sig: Signature) -> list[BTClass]:
-    """All classes for the signature, canonically ordered."""
+    """All classes, canonically ordered: the Lyndon factors of each arrangement."""
     if sig.h > MAX_BT1_HEIGHT or math.comb(sig.h, sig.c) > MAX_BT1_CLASSES:
         raise TooManyClasses(
             f"c+d must be at most {MAX_BT1_HEIGHT} and binomial(c+d, c) at most "
             f"{MAX_BT1_CLASSES}, got ({sig.c},{sig.d})"
         )
-    pool: list[tuple[CircularWord, int, int]] = []
-    for f in range(sig.c + 1):
-        for v in range(sig.d + 1):
-            if f + v == 0:
-                continue
-            for w in aperiodic_necklaces(f, v):
-                pool.append((w, f, v))
-    pool.sort(key=lambda item: _word_sort_key(item[0]))
-
-    classes: list[BTClass] = []
-
-    def extend(idx: int, c_rem: int, d_rem: int, acc: list[CircularWord]):
-        if c_rem == 0 and d_rem == 0:
-            classes.append(BTClass(tuple(acc)))
-            return
-        for i in range(idx, len(pool)):
-            w, f, v = pool[i]
-            if f <= c_rem and v <= d_rem:
-                acc.append(w)
-                extend(i, c_rem - f, d_rem - v, acc)
-                acc.pop()
-
-    extend(0, sig.c, sig.d, [])
+    word = cache(CircularWord)  # one shared object per distinct word
+    classes = [
+        BTClass(tuple(map(word, lyndon_factors(letters))))
+        for letters in _arrangements(sig.c, sig.d)
+    ]
     return sorted(classes, key=_class_sort_key)
 
 
 def count_bt1(sig: Signature) -> int:
+    """binomial(c+d, c), checked against the classes ``enumerate_bt1`` lists."""
     classes = enumerate_bt1(sig)
     expected = math.comb(sig.h, sig.c)
-    if len(classes) != expected:
+    distinct = len(set(classes))
+    if distinct != expected:
         raise CountMismatch(
-            f"enumerated {len(classes)} classes for (c,d)=({sig.c},{sig.d}), "
+            f"enumerated {distinct} distinct classes for (c,d)=({sig.c},{sig.d}), "
             f"expected binomial({sig.h},{sig.c}) = {expected}"
         )
-    return len(classes)
+    for w in {w for cls in classes for w in cls.words}:
+        if canonical_rotation(w.letters) != w or not is_aperiodic(w):
+            raise CountMismatch(f"class word {w} is not aperiodic in its least rotation")
+    return distinct

@@ -16,7 +16,9 @@ Indices are 1-based throughout, matching J = {1, ..., h}.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -226,6 +228,15 @@ def pair_orbits(p: Permutation) -> list[ProductOrbit]:
                 k = a * w + b
             orbits.append(ProductOrbit(tuple(pts)))
     return orbits
+
+
+def pair_orbit_count(p: Permutation) -> int:
+    """Number of orbits of (pi,pi) on J^2, from the cycle type alone: a
+    cycle of length a and one of length b share gcd(a, b) orbits."""
+    lengths = Counter(len(cyc) for cyc in cycle_decomposition(p))
+    return sum(
+        na * nb * math.gcd(a, b) for a, na in lengths.items() for b, nb in lengths.items()
+    )
 
 
 def epsilon_value(i: int, j: int, d: int) -> int:

@@ -225,6 +225,14 @@ class TestArgumentErrors:
             # cycle notation with a degree that would create 10^10 pairs
             ["invariants", "--c", "100000", "--d", "0", "--perm", "(1 2)",
              "--degree", "100000"],
+            # orbits * (max level + 50) over the report-size cap: 9,802 orbits
+            # at level 10^4, 249,002 at level 1 and 992,020 at level 4
+            ["invariants", "--c", "50", "--d", "50", "--perm", "(1 2)", "--degree", "100",
+             "--max-level", "10000", "--format", "json"],
+            ["invariants", "--c", "250", "--d", "250", "--perm", "(1 2)", "--degree", "500",
+             "--max-level", "1"],
+            ["invariants", "--c", "500", "--d", "500", "--perm", "(1 2 3 4 5)",
+             "--degree", "1000", "--max-level", "4"],
         ],
     )
     def test_bad_numeric_flags_exit_two(self, capsys, argv):

@@ -3,9 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from btlab.graph_oracle import (
+    MAX_ORACLE_VERTICES,
     Cycle,
     Edge,
     GammaGraph,
+    GraphTooLarge,
     MalformedGraph,
     VerificationMismatch,
     build_gamma_graph,
@@ -14,7 +16,7 @@ from btlab.graph_oracle import (
     oracle_invariants,
     orbit_summaries,
 )
-from btlab.invariants import gamma, orbit_profiles
+from btlab.invariants import gamma, invariant_report, orbit_profiles
 from btlab.permutations import Permutation, Signature, parse_permutation
 
 epsilon_seqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=10).map(tuple)
@@ -179,6 +181,16 @@ class TestOracleInvariants:
         dimension = sum(summary.free_paths for _, summary in summaries)
         exponent = sum(cyc.weight for _, summary in summaries for cyc in summary.cycles)
         assert oracle_invariants(p, sig, m) == (dimension, exponent)
+
+    def test_vertex_guard_refuses_an_admitted_report(self):
+        # 50 orbits: the report is small, but 50^2 * 401 vertices exceed the cap
+        p, sig, level = long_cycle(50), Signature(25, 25), 401
+        assert 50 * 50 * level > MAX_ORACLE_VERTICES
+        report = invariant_report(p, sig, level)
+        with pytest.raises(GraphTooLarge, match="must be"):
+            orbit_summaries(report.profiles, level)
+        with pytest.raises(GraphTooLarge, match="must be"):
+            oracle_invariants(p, sig, level)
 
 
 class TestCrossCheck:

@@ -8,7 +8,10 @@ import btlab.invariants
 from btlab.cli import main
 from btlab.invariants import (
     MAX_LEVEL,
+    MAX_REPORT_SIZE,
+    ORBIT_ROW_COST,
     LevelTooLarge,
+    ReportTooLarge,
     Segment,
     a_n,
     circular_level,
@@ -20,7 +23,13 @@ from btlab.invariants import (
     orbit_profiles,
     segment_scan,
 )
-from btlab.permutations import Permutation, Signature, pair_orbits, parse_permutation
+from btlab.permutations import (
+    Permutation,
+    Signature,
+    pair_orbit_count,
+    pair_orbits,
+    parse_permutation,
+)
 
 epsilon_seqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=12).map(tuple)
 long_epsilon_seqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=60).map(tuple)
@@ -265,6 +274,33 @@ class TestInvariantReport:
         assert len(invariant_report(p, sig, MAX_LEVEL).gamma) == MAX_LEVEL
         with pytest.raises(LevelTooLarge, match="must be"):
             invariant_report(p, sig, MAX_LEVEL + 1)
+
+    @pytest.mark.parametrize(
+        "perm,degree,c,max_level",
+        [
+            ("(1 2)", 100, 50, MAX_LEVEL),  # 9,802 orbits
+            ("(1 2)", 500, 250, 1),  # 249,002 orbits
+            ("(1 2 3 4 5)", 1000, 500, 4),  # 992,020 orbits
+        ],
+    )
+    def test_report_size_cap(self, perm, degree, c, max_level):
+        p = parse_permutation(perm, degree=degree)
+        with pytest.raises(ReportTooLarge, match="must be"):
+            invariant_report(p, Signature(c, degree - c), max_level)
+
+    def test_report_size_cap_admits_random_h_1000(self):
+        for seed in range(5):
+            images = list(range(1, 1001))
+            random.Random(seed).shuffle(images)
+            orbits = pair_orbit_count(Permutation(tuple(images)))
+            assert orbits * (10 + ORBIT_ROW_COST) <= MAX_REPORT_SIZE
+
+    def test_report_size_cap_boundary(self):
+        # 9,802 orbits fit up to level 154
+        p, sig = parse_permutation("(1 2)", degree=100), Signature(50, 50)
+        assert len(invariant_report(p, sig, 154).profiles) == 9802
+        with pytest.raises(ReportTooLarge):
+            invariant_report(p, sig, 155)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_tables_match_per_level_definitions(self, seed):

@@ -1,10 +1,12 @@
 import math
+from itertools import combinations
 from itertools import permutations as all_perms
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from btlab import kraft
 from btlab.kraft import (
     BTClass,
     CircularWord,
@@ -18,10 +20,62 @@ from btlab.kraft import (
     enumerate_bt1,
     is_aperiodic,
     kraft_type,
+    lyndon_factors,
 )
 from btlab.permutations import Permutation, Signature, parse_permutation
 
 words = st.text(alphabet="FV", min_size=1, max_size=10)
+
+
+def reference_enumerate_bt1(sig):
+    """The definition, searched out: pool every aperiodic necklace of every
+    letter content that fits in (c, d), longest first, and backtrack over
+    non-decreasing pool indices until the letters are used up."""
+    pool = []
+    for f in range(sig.c + 1):
+        for v in range(sig.d + 1):
+            if f + v == 0:
+                continue
+            found = set()
+            for positions in combinations(range(f + v), v):
+                letters = ["F"] * (f + v)
+                for i in positions:
+                    letters[i] = "V"
+                found.add(canonical_rotation("".join(letters)))
+            pool.extend((w, f, v) for w in found if is_aperiodic(w))
+    pool.sort(key=lambda item: (-len(item[0]), item[0].letters))
+    classes = []
+
+    def extend(idx, c_rem, d_rem, acc):
+        if c_rem == 0 and d_rem == 0:
+            classes.append(BTClass(tuple(acc)))
+            return
+        for i in range(idx, len(pool)):
+            w, f, v = pool[i]
+            if f <= c_rem and v <= d_rem:
+                acc.append(w)
+                extend(i, c_rem - f, d_rem - v, acc)
+                acc.pop()
+
+    extend(0, sig.c, sig.d, [])
+    return sorted(classes, key=lambda cls: (len(cls.words), [w.letters for w in cls.words]))
+
+
+def is_lyndon(u):
+    """Strictly less than each of its proper rotations."""
+    return all(u < u[i:] + u[:i] for i in range(1, len(u)))
+
+
+def mobius(n):
+    result, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            result = -result
+        k += 1
+    return -result if n > 1 else result
 
 
 class TestWords:
@@ -52,6 +106,25 @@ class TestWords:
         assert not is_aperiodic(canonical_rotation("FVFV"))
         assert is_aperiodic(CircularWord("FFVV"))
         assert not is_aperiodic(CircularWord("F" * 6))
+
+    @given(words)
+    def test_aperiodic_means_no_proper_period(self, w):
+        n = len(w)
+        periodic = any(n % q == 0 and w[:q] * (n // q) == w for q in range(1, n))
+        assert is_aperiodic(CircularWord(w)) is not periodic
+
+    @given(st.text(alphabet="FV", max_size=16))
+    def test_lyndon_factors(self, w):
+        factors = lyndon_factors(w)
+        assert "".join(factors) == w
+        assert all(is_lyndon(u) for u in factors)
+        assert all(a >= b for a, b in zip(factors, factors[1:]))
+
+    def test_lyndon_factors_examples(self):
+        assert lyndon_factors("") == []
+        assert lyndon_factors("VFVF") == ["V", "FV", "F"]
+        assert lyndon_factors("FVFV") == ["FV", "FV"]
+        assert lyndon_factors("FFVFV") == ["FFVFV"]
 
     def test_dual_simple_objects(self):
         assert dual_word(CircularWord("F")).letters == "V"
@@ -145,6 +218,31 @@ class TestEnumeration:
         for w in aperiodic_necklaces(2, 2):
             assert w.letters.count("F") == 2 and w.letters.count("V") == 2
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_necklace_count_formula(self, n):
+        # (1/n) * sum over k | gcd(f, v) of mu(k) * binomial(n/k, f/k)
+        for f in range(n + 1):
+            g = math.gcd(f, n - f)
+            total = sum(
+                mobius(k) * math.comb(n // k, f // k) for k in range(1, g + 1) if g % k == 0
+            )
+            necklaces = aperiodic_necklaces(f, n - f)
+            assert len(necklaces) * n == total
+            assert necklaces == sorted(necklaces)
+            assert all(canonical_rotation(w.letters) == w for w in necklaces)
+
+    @pytest.mark.parametrize("h", range(1, 11))
+    def test_matches_reference(self, h):
+        for c in range(h + 1):
+            sig = Signature(c, h - c)
+            expected = [cls.render() for cls in reference_enumerate_bt1(sig)]
+            assert [cls.render() for cls in enumerate_bt1(sig)] == expected
+
+    def test_words_are_shared(self):
+        classes = enumerate_bt1(Signature(3, 3))
+        words = [w for cls in classes for w in cls.words]
+        assert len({id(w) for w in words}) == len(set(words))
+
 
 class TestCounts:
     @pytest.mark.parametrize("h", range(1, 9))
@@ -160,6 +258,16 @@ class TestCounts:
 
     def test_mismatch_error_exists(self):
         assert issubclass(CountMismatch, Exception)
+
+    def test_unfactored_words_fail_the_word_check(self, monkeypatch):
+        monkeypatch.setattr(kraft, "lyndon_factors", lambda s: [s])
+        with pytest.raises(CountMismatch, match="not aperiodic"):
+            count_bt1(Signature(2, 2))
+
+    def test_single_letters_fail_the_distinct_count(self, monkeypatch):
+        monkeypatch.setattr(kraft, "lyndon_factors", list)
+        with pytest.raises(CountMismatch, match="distinct classes"):
+            count_bt1(Signature(2, 2))
 
     @pytest.mark.parametrize("c,d", [(7, 7), (5, 9)])
     def test_guard_admits_benchmark_signatures(self, c, d):

@@ -15,6 +15,7 @@ from btlab.permutations import (
     cycle_decomposition,
     epsilon_sequence,
     mu_sequence,
+    pair_orbit_count,
     pair_orbits,
     parse_permutation,
 )
@@ -169,6 +170,16 @@ class TestPairOrbits:
         assert set(everything) == {
             (i, j) for i in range(1, p.h + 1) for j in range(1, p.h + 1)
         }
+
+    @given(perms(max_h=12))
+    def test_orbit_count_from_cycle_type(self, p):
+        assert pair_orbit_count(p) == len(pair_orbits(p))
+
+    def test_orbit_count_examples(self):
+        # 995 fixed points and a 5-cycle: 995^2 + 2*995 + 5 orbits
+        p = parse_permutation("(1 2 3 4 5)", degree=1000)
+        assert pair_orbit_count(p) == 992_020
+        assert pair_orbit_count(parse_permutation("(1 2 3 4)(5 6)")) == 4 + 2 * 2 + 2
 
     @given(perms())
     def test_orbits_canonical(self, p):

@@ -11,16 +11,13 @@ of level-1 truncations.
 """
 
 from .graph_oracle import (
-    ComponentSummary,
     CrossCheck,
-    GammaGraph,
     GraphTooLarge,
     MalformedGraph,
     VerificationMismatch,
     build_gamma_graph,
     classify_components,
     cross_check,
-    oracle_invariants,
 )
 from .invariants import (
     InvariantReport,
@@ -60,7 +57,6 @@ from .permutations import (
     Signature,
     cycle_decomposition,
     epsilon_sequence,
-    mu_sequence,
     pair_orbits,
     parse_permutation,
 )

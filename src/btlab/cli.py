@@ -1,7 +1,7 @@
 """btlab command line: deterministic JSON or aligned-table reports.
 
 Exit codes: 0 success, 1 verification mismatch (oracle cross-check,
-ring-table check or class-count check failed), 2 input error.
+ring-table or class-count check failed), 2 input error or unwritable --out.
 
 Output is byte-identical for identical inputs and seed: orbit, segment,
 word and JSON key orders are all canonical, and the verify sweep draws
@@ -15,7 +15,7 @@ import json
 import sys
 
 from .errors import InputError, VerificationError
-from .graph_oracle import oracle_totals, orbit_summaries
+from .graph_oracle import oracle_components
 from .invariants import InvariantReport, invariant_report, level_histogram
 from .kraft import enumerate_bt1, kraft_type
 from .permutations import Permutation, Signature, parse_permutation
@@ -145,17 +145,17 @@ def cmd_oracle(args) -> tuple[str, int]:
     perm = _permutation(args, sig)
     level = args.level
     report = invariant_report(perm, sig, level)
-    summaries = orbit_summaries(report.profiles, level)
+    result = oracle_components(perm, sig, level)
     doc = _report_doc(report, level, None)
-    dimension, exponent = oracle_totals(summaries)
+    dimension, exponent = result.free_paths, result.exponent
     per_orbit = [
         {
-            "rep": list(prof.orbit.rep),
-            "free_paths": summary.free_paths,
-            "zeroed_vertices": summary.zeroed_vertices,
-            "cycles": [[c.length, c.weight] for c in summary.cycles],
+            "rep": list(row.rep),
+            "free_paths": row.free_paths,
+            "zeroed_vertices": row.zeroed_vertices,
+            "cycles": [[c.length, c.weight] for c in row.cycles],
         }
-        for prof, summary in summaries
+        for row in result.rows
     ]
     doc["oracle"] = {"dimension": dimension, "exponent": exponent, "per_orbit": per_orbit}
     ok = dimension == report.gamma[level - 1] and exponent == report.c_exponent[level - 1]
@@ -442,10 +442,14 @@ def main(argv=None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     text = body + "\n"
-    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     return code
 
 

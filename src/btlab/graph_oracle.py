@@ -1,47 +1,45 @@
-"""Brute-force oracle: expand the level-m congruences into path/cycle graphs.
+"""Brute-force oracle: expand the level-m congruences into one path/cycle graph.
 
-Along an orbit with epsilon-sequence e, an endomorphism coefficient is a
-length-m Witt vector x_s = (y_{s,0}, ..., y_{s,m-1}) per position s, tied
-to its successor by
+The pair (i, j) of J^2 carries a length-m Witt vector x = (y_0, ...,
+y_{m-1}) of an endomorphism coefficient, tied to the vector x' of its
+image (pi(i), pi(j)) by p^{mu + e} * sigma(x) = p^{mu'} * x' (mod p^m),
+where e is +1 on J_+ = {i <= d < j}, -1 on J_- = {j <= d < i} and 0
+elsewhere.  Componentwise (sigma is the p-th power, multiplication by p
+shifts right and applies one more p-th power):
 
-    p^{mu_s + e_s} * sigma(x_s)  =  p^{mu_{s+1}} * x_{s+1}   (mod p^m).
-
-Writing both sides componentwise (sigma is componentwise p-th power,
-multiplication by p shifts right and applies one more p-th power):
-
-    left  = (0, y_{s,0}^{p^2}, ..., y_{s,m-2}^{p^2})   if e_s = +1
-            (y_{s,0}^p, ..., y_{s,m-1}^p)              if e_s in {-1, 0}
-    right = (0, y_{s+1,0}^p, ..., y_{s+1,m-2}^p)       if e_{s+1} = -1
-            (y_{s+1,0}, ..., y_{s+1,m-1})              otherwise.
+    left  = (0, y_0^{p^2}, ..., y_{m-2}^{p^2})   if (i, j) in J_+
+            (y_0^p, ..., y_{m-1}^p)              otherwise
+    right = (0, y'_0^p, ..., y'_{m-2}^p)         if the image is in J_-
+            (y'_0, ..., y'_{m-1})                otherwise.
 
 Equating rows and cancelling Frobenius powers (the base field is perfect,
-so A^{p^a} = B^{p^b} reduces to a single edge of weight |a - b|) yields a
-graph on the variables (s, r) in which every vertex has in- and
-out-degree at most 1.  Components are therefore simple paths or cycles:
+so A^{p^a} = B^{p^b} is one edge of weight |a - b|) gives a graph on the
+variables (i, j, r) with in- and out-degree at most 1.  A path without a
+zero-forced vertex is one free variable (dimension 1), a path touching
+one collapses to 0, and a cycle of weight w is y = y^{p^w}: p^w points,
+adding w to the component-count exponent.
 
-  * a path with no zero-forced vertex is one free variable (dimension 1),
-  * a path touching a zero-forced vertex collapses entirely to 0,
-  * a cycle of total weight w is the equation y = y^{p^w}, i.e. p^w
-    points, contributing w to the component-count exponent.
-
-This reproduces the closed-form gamma and c_m values without using the
-segment/circular-orbit combinatorics, which is what makes it an
-independent check.
+The graph is four flat arrays over the vertex index ((i-1)*h + (j-1))*m
++ r, filled from the images of pi and the test "point <= d" alone; its
+components are credited to (pi, pi) orbits found here by iterating pi.
+Nothing comes from ``pair_orbits``, ``epsilon_sequence`` or
+``segment_scan``, so a fault in the orbit listing, the epsilon-sequences
+or the segment combinatorics shows up in ``cross_check``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, VerificationError
-from .invariants import OrbitProfile, invariant_report, orbit_profiles
-from .permutations import EpsilonSeq, Permutation, Signature
+from .invariants import invariant_report
+from .permutations import Permutation, Signature
 
-Vertex = tuple[int, int]  # (orbit position s, Witt row r); s 1-based, r 0-based
-
-#: Largest number of graph vertices, h^2 * m over all orbits at level m,
-#: that ``orbit_summaries`` expands.
+#: Largest number of graph vertices, h^2 * m at level m, that
+#: ``build_gamma_graph`` expands: 13 bytes a vertex, so at the cap (a
+#: 50-cycle at level 400) 13 MB and 0.34 s on a Xeon with Python 3.11.
 MAX_ORACLE_VERTICES = 1_000_000
 
 
@@ -68,22 +66,33 @@ class VerificationMismatch(VerificationError):
         )
 
 
-class Edge(NamedTuple):
-    src: Vertex
-    dst: Vertex
-    weight: int  # dst = src^(p^weight), weight in {0, 1, 2}
+class FlatGraph:
+    """Successor, edge weight, has-in-edge and zero flag per vertex index."""
 
+    def __init__(self, images: Sequence[int], m: int):
+        self.img = [v - 1 for v in images]  # img[i] = pi(i + 1) - 1
+        self.h = h = len(self.img)
+        self.m = m
+        n = h * h * m
+        self.succ = array("i", [-1]) * n  # successor vertex, -1 for none
+        self.weight = bytearray(n)  # succ = vertex^(p^weight)
+        self.has_in = bytearray(n)
+        self.zero = bytearray(n)  # the vertex is forced to 0
+        self._index = array("i", range(n))  # succ blocks are slices of this
+        self.edge_count = 0
 
-@dataclass(frozen=True)
-class GammaGraph:
-    orbit_length: int
-    level: int
-    edges: tuple[Edge, ...]
-    zero_constraints: frozenset[Vertex]
+    def link(self, src: int, dst: int, count: int, weight: int) -> None:
+        """Add the edges src + k -> dst + k of ``weight`` for k < count;
+        ``classify_components`` refuses two edges out of or into a vertex."""
+        self.edge_count += count
+        self.succ[src:src + count] = self._index[dst:dst + count]
+        self.weight[src:src + count] = bytes((weight,)) * count
+        self.has_in[dst:dst + count] = b"\1" * count
 
     @property
-    def vertices(self) -> list[Vertex]:
-        return [(s, r) for s in range(1, self.orbit_length + 1) for r in range(self.level)]
+    def edges(self) -> list[tuple[int, int, int]]:
+        """(source, target, weight) of every edge, by source index."""
+        return [(v, t, self.weight[v]) for v, t in enumerate(self.succ) if t >= 0]
 
 
 class Cycle(NamedTuple):
@@ -91,123 +100,124 @@ class Cycle(NamedTuple):
     weight: int
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
+class OrbitRow(NamedTuple):
+    """The components of one (pi, pi) orbit, keyed by its least pair."""
+
+    rep: tuple[int, int]
+    size: int
     free_paths: int
     zeroed_vertices: int
     cycles: tuple[Cycle, ...]
 
 
-def build_gamma_graph(e: EpsilonSeq, m: int) -> GammaGraph:
-    """Expand the congruences along one orbit into a GammaGraph."""
+class OracleResult(NamedTuple):
+    rows: tuple[OrbitRow, ...]  # orbits in order of their least pairs
+    free_paths: int  # the dimension
+    cycles: tuple[Cycle, ...]  # over all orbits; their weights sum to the exponent
+    exponent: int
+
+
+def build_gamma_graph(p: Permutation, sig: Signature, m: int) -> FlatGraph:
+    """Expand the level-m congruences of every pair into one FlatGraph."""
     if m < 1:
         raise ValueError("level m must be >= 1")
-    l = len(e)
-    if l < 1:
-        raise ValueError("epsilon sequence must be nonempty")
-    edges: list[Edge] = []
-    zeros: set[Vertex] = set()
-    for s in range(1, l + 1):
-        t = s % l + 1
-        shift_left = e[s - 1] == 1  # left side is p * sigma(x_s)
-        shift_right = e[t - 1] == -1  # right side is p * x_{s+1}
-        if shift_left and shift_right:
-            # rows align after dropping the shared leading zero
-            for r in range(m - 1):
-                edges.append(Edge((s, r), (t, r), 1))
-        elif shift_left:
-            zeros.add((t, 0))
-            for r in range(m - 1):
-                edges.append(Edge((s, r), (t, r + 1), 2))
-        elif shift_right:
-            zeros.add((s, 0))
-            for r in range(1, m):
-                edges.append(Edge((s, r), (t, r - 1), 0))
-        else:
-            for r in range(m):
-                edges.append(Edge((s, r), (t, r), 1))
-    return GammaGraph(l, m, tuple(edges), frozenset(zeros))
-
-
-def classify_components(g: GammaGraph) -> ComponentSummary:
-    """Partition the graph into free paths, zeroed components and cycles."""
-    out_edge: dict[Vertex, Edge] = {}
-    in_edge: dict[Vertex, Edge] = {}
-    for edge in g.edges:
-        if edge.src in out_edge:
-            raise MalformedGraph(f"vertex {edge.src} has two outgoing edges")
-        if edge.dst in in_edge:
-            raise MalformedGraph(f"vertex {edge.dst} has two incoming edges")
-        out_edge[edge.src] = edge
-        in_edge[edge.dst] = edge
-
-    free_paths = 0
-    zeroed = 0
-    cycles = []
-    seen: set[Vertex] = set()
-    for v0 in g.vertices:
-        if v0 in seen:
-            continue
-        # walk back to the component's start (or around its cycle)
-        start = v0
-        while start in in_edge:
-            prev = in_edge[start].src
-            if prev == v0:  # closed the loop: cycle component
-                start = v0
-                break
-            start = prev
-        verts = [start]
-        weight = 0
-        v = start
-        while v in out_edge:
-            edge = out_edge[v]
-            weight += edge.weight
-            v = edge.dst
-            if v == start:
-                break
-            verts.append(v)
-        is_cycle = v == start and start in out_edge
-        seen.update(verts)
-        if any(u in g.zero_constraints for u in verts):
-            # cannot happen for generated graphs when the component is a
-            # cycle; a zeroed path collapses entirely
-            zeroed += len(verts)
-        elif is_cycle:
-            cycles.append(Cycle(len(verts), weight))
-        else:
-            free_paths += 1
-    return ComponentSummary(free_paths, zeroed, tuple(sorted(cycles)))
-
-
-OrbitSummaries = list[tuple[OrbitProfile, ComponentSummary]]
-
-
-def orbit_summaries(profiles: Sequence[OrbitProfile], m: int) -> OrbitSummaries:
-    """Build and classify the level-m graph of each orbit."""
-    vertices = m * sum(len(prof.orbit) for prof in profiles)
+    if p.h != sig.h:
+        raise ValueError(f"permutation degree {p.h} != c+d = {sig.h}")
+    h, d = p.h, sig.d
+    vertices = h * h * m
     if vertices > MAX_ORACLE_VERTICES:
         raise GraphTooLarge(
             f"oracle vertices (h^2 * level) must be <= {MAX_ORACLE_VERTICES}, got {vertices}"
         )
-    return [
-        (prof, classify_components(build_gamma_graph(prof.eps, m)))
-        for prof in profiles
-    ]
+    g = FlatGraph(p.images, m)
+    img, link, zero = g.img, g.link, g.zero
+    low = [i < d for i in range(h)]  # point i + 1 lies in {1..d}
+    for i in range(h):
+        ti = img[i]
+        for j in range(h):
+            tj = img[j]
+            src = (i * h + j) * m
+            dst = (ti * h + tj) * m
+            shift_left = low[i] and not low[j]  # left side is p * sigma(x)
+            shift_right = low[tj] and not low[ti]  # right side is p * x'
+            if shift_left and shift_right:
+                # rows align after dropping the shared leading zero
+                link(src, dst, m - 1, 1)
+            elif shift_left:
+                zero[dst] = 1
+                link(src, dst + 1, m - 1, 2)
+            elif shift_right:
+                zero[src] = 1
+                link(src + 1, dst, m - 1, 0)
+            else:
+                link(src, dst, m, 1)
+    return g
 
 
-def oracle_totals(summaries: OrbitSummaries) -> tuple[int, int]:
-    """(dimension, component exponent): free paths and cycle weights summed
-    over the orbits."""
-    dimension = exponent = 0
-    for _, summary in summaries:
-        dimension += summary.free_paths
-        exponent += sum(cyc.weight for cyc in summary.cycles)
-    return dimension, exponent
+def classify_components(g: FlatGraph) -> OracleResult:
+    """Free paths, zeroed vertices and cycles of ``g``, per (pi, pi) orbit.
+
+    Paths are walked from the vertices without an in-edge; since no
+    vertex has two in- or out-edges, whatever they leave unvisited lies
+    on a cycle.
+    """
+    h, m = g.h, g.m
+    img, succ, weight, zero = g.img, g.succ, g.weight, g.zero
+    # a second edge out of a vertex overwrote the first, and a second edge
+    # into one set a flag already set: either way a count falls short
+    if len(succ) - succ.count(-1) != g.edge_count:
+        raise MalformedGraph("a vertex has two outgoing edges")
+    if g.has_in.count(1) != g.edge_count:
+        raise MalformedGraph("a vertex has two incoming edges")
+    # Orbit number of every pair index (i-1)*h + (j-1).  This repeats the
+    # job of ``pair_orbits`` on purpose: the oracle must not share it.
+    # The lexicographic scan meets every orbit first at its least pair.
+    label = [-1] * (h * h)
+    reps, sizes = [], []
+    for q in range(h * h):
+        if label[q] < 0:
+            a, b = divmod(q, h)
+            reps.append((a + 1, b + 1))
+            size = 0
+            while label[a * h + b] < 0:
+                label[a * h + b] = len(sizes)
+                size += 1
+                a, b = img[a], img[b]
+            sizes.append(size)
+    free = [0] * len(reps)
+    zeroed = [0] * len(reps)
+    cycles: list[list[Cycle]] = [[] for _ in reps]
+    seen = bytearray(len(succ))
+    for starts in (g.has_in, seen):
+        v = starts.find(0)
+        while v >= 0:
+            length = total = forced = 0
+            u = v
+            while u >= 0 and not seen[u]:
+                seen[u] = 1
+                length += 1
+                total += weight[u]
+                forced |= zero[u]
+                u = succ[u]
+            k = label[v // m]
+            if forced:  # the component collapses to 0
+                zeroed[k] += length
+            elif u < 0:
+                free[k] += 1
+            else:  # back at v
+                cycles[k].append(Cycle(length, total))
+            v = starts.find(0, v + 1)
+    rows = tuple(
+        OrbitRow(rep, size, f, z, tuple(cyc))
+        for rep, size, f, z, cyc in zip(reps, sizes, free, zeroed, cycles)
+    )
+    every = tuple(cyc for row in rows for cyc in row.cycles)
+    return OracleResult(rows, sum(free), every, sum(cyc.weight for cyc in every))
 
 
-def oracle_invariants(p: Permutation, sig: Signature, m: int) -> tuple[int, int]:
-    """(dimension, component exponent) at level m, straight from the graphs."""
-    return oracle_totals(orbit_summaries(orbit_profiles(p, sig), m))
+def oracle_components(p: Permutation, sig: Signature, m: int) -> OracleResult:
+    """The level-m oracle of (pi, d): build the graph and classify it."""
+    return classify_components(build_gamma_graph(p, sig, m))
 
 
 @dataclass(frozen=True)
@@ -219,16 +229,12 @@ class CrossCheck:
     ok: bool
     mismatch: VerificationMismatch | None
 
-    def raise_if_failed(self) -> None:
-        if not self.ok:
-            raise self.mismatch
-
 
 def cross_check(p: Permutation, sig: Signature, max_level: int) -> CrossCheck:
     """Compare the gamma and c_m tables of ``invariant_report`` with the
     graph oracle for m = 1..max_level; also require every cycle weight to
-    equal its orbit length.  Returns the first counterexample instead of
-    raising."""
+    equal the size of its orbit.  Returns the first counterexample instead
+    of raising."""
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     report = invariant_report(p, sig, max_level)
@@ -240,16 +246,15 @@ def cross_check(p: Permutation, sig: Signature, max_level: int) -> CrossCheck:
         )
 
     for m in range(1, max_level + 1):
-        summaries = orbit_summaries(report.profiles, m)
-        for prof, summary in summaries:
-            for cyc in summary.cycles:
-                if cyc.weight != len(prof.orbit):
-                    return fail(m, "cycle-weight", len(prof.orbit), cyc.weight)
-        dimension, exponent = oracle_totals(summaries)
+        result = oracle_components(p, sig, m)
+        for row in result.rows:
+            for cyc in row.cycles:
+                if cyc.weight != row.size:
+                    return fail(m, "cycle-weight", row.size, cyc.weight)
         g = report.gamma[m - 1]
-        if dimension != g:
-            return fail(m, "dimension", g, dimension)
+        if result.free_paths != g:
+            return fail(m, "dimension", g, result.free_paths)
         ce = report.c_exponent[m - 1]
-        if exponent != ce:
-            return fail(m, "exponent", ce, exponent)
+        if result.exponent != ce:
+            return fail(m, "exponent", ce, result.exponent)
     return CrossCheck(p, sig.c, sig.d, max_level, True, None)

@@ -7,8 +7,7 @@ square J^2 = {1..h}^2 into three regions:
     J_- = {(i, j) : j <= d < i}.
 
 Every orbit of (pi, pi) acting on J^2 gets an epsilon-sequence over
-{-1, 0, +1} (the region of each point) and a mu-sequence over {0, 1}
-(mu = 1 exactly at epsilon = -1 positions).  These sequences drive all
+{-1, 0, +1} (the region of each point).  These sequences drive all
 invariant computations downstream.
 
 Indices are 1-based throughout, matching J = {1, ..., h}.
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from .errors import InputError
 
 EpsilonSeq = tuple[int, ...]
-MuSeq = tuple[int, ...]
 
 
 class EmptyInput(InputError):
@@ -253,7 +251,3 @@ def epsilon_sequence(o: ProductOrbit, sig: Signature) -> EpsilonSeq:
         if not (1 <= i <= h and 1 <= j <= h):
             raise OutOfRange(f"orbit point ({i},{j}) outside 1..{h} square")
     return tuple(epsilon_value(i, j, sig.d) for i, j in o.points)
-
-
-def mu_sequence(e: EpsilonSeq) -> MuSeq:
-    return tuple(1 if v == -1 else 0 for v in e)

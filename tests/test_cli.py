@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from btlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -92,6 +95,26 @@ class TestOracleCommand:
         assert doc["oracle"]["dimension"] == 4
         assert doc["oracle"]["exponent"] == 32
         assert len(doc["oracle"]["per_orbit"]) == 4
+
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [
+            ("oracle_square_l3.json",
+             ["--c", "2", "--d", "2", "--perm", "(1 2 3 4)", "--level", "3", "--format", "json"]),
+            ("oracle_square_l3.txt",
+             ["--c", "2", "--d", "2", "--perm", "(1 2 3 4)", "--level", "3"]),
+            # h = 7 with free paths, zeroed paths and cycles in the rows
+            ("oracle_h7_l4.json",
+             ["--c", "4", "--d", "3", "--perm", "(1 4)(2 5 3)(6 7)", "--level", "4",
+              "--format", "json"]),
+            ("oracle_h7_l4.txt",
+             ["--c", "4", "--d", "3", "--perm", "(1 4)(2 5 3)(6 7)", "--level", "4"]),
+        ],
+    )
+    def test_golden_bytes(self, capsys, golden, argv):
+        code, out, _ = run(capsys, "oracle", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 class TestVerifyCommand:
@@ -242,3 +265,14 @@ class TestArgumentErrors:
         assert "must be" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run(
+            capsys, "oracle", "--c", "1", "--d", "1", "--perm", "2,1", "--level", "3",
+            "--out", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1

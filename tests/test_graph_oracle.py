@@ -1,20 +1,24 @@
+from dataclasses import dataclass
+from itertools import permutations
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import btlab.graph_oracle as graph_oracle
+import btlab.invariants as invariants
 from btlab.graph_oracle import (
     MAX_ORACLE_VERTICES,
     Cycle,
-    Edge,
-    GammaGraph,
+    FlatGraph,
     GraphTooLarge,
     MalformedGraph,
     VerificationMismatch,
     build_gamma_graph,
     classify_components,
     cross_check,
-    oracle_invariants,
-    orbit_summaries,
+    oracle_components,
 )
 from btlab.invariants import gamma, invariant_report, orbit_profiles
 from btlab.permutations import Permutation, Signature, parse_permutation
@@ -27,37 +31,171 @@ def long_cycle(h):
     return parse_permutation("(" + " ".join(str(i) for i in range(1, h + 1)) + ")")
 
 
+# -- reference: one graph per orbit, from its epsilon-sequence ----------------
+
+
+class Edge(NamedTuple):
+    src: tuple[int, int]  # (orbit position s, Witt row r); s 1-based
+    dst: tuple[int, int]
+    weight: int
+
+
+@dataclass(frozen=True)
+class GammaGraph:
+    orbit_length: int
+    level: int
+    edges: tuple[Edge, ...]
+    zero_constraints: frozenset
+
+    @property
+    def vertices(self):
+        return [(s, r) for s in range(1, self.orbit_length + 1) for r in range(self.level)]
+
+
+@dataclass(frozen=True)
+class ComponentSummary:
+    free_paths: int
+    zeroed_vertices: int
+    cycles: tuple[Cycle, ...]
+
+
+def reference_build_gamma_graph(e, m):
+    """The congruences along one orbit with epsilon-sequence ``e``, as a
+    graph on (orbit position, Witt row)."""
+    l = len(e)
+    edges = []
+    zeros = set()
+    for s in range(1, l + 1):
+        t = s % l + 1
+        shift_left = e[s - 1] == 1
+        shift_right = e[t - 1] == -1
+        if shift_left and shift_right:
+            for r in range(m - 1):
+                edges.append(Edge((s, r), (t, r), 1))
+        elif shift_left:
+            zeros.add((t, 0))
+            for r in range(m - 1):
+                edges.append(Edge((s, r), (t, r + 1), 2))
+        elif shift_right:
+            zeros.add((s, 0))
+            for r in range(1, m):
+                edges.append(Edge((s, r), (t, r - 1), 0))
+        else:
+            for r in range(m):
+                edges.append(Edge((s, r), (t, r), 1))
+    return GammaGraph(l, m, tuple(edges), frozenset(zeros))
+
+
+def reference_classify_components(g):
+    """Free paths, zeroed vertices and cycles, by walking each vertex back
+    to its component's start with edge dictionaries."""
+    out_edge = {}
+    in_edge = {}
+    for edge in g.edges:
+        if edge.src in out_edge or edge.dst in in_edge:
+            raise MalformedGraph(f"edge {edge} repeats an endpoint")
+        out_edge[edge.src] = edge
+        in_edge[edge.dst] = edge
+    free_paths = zeroed = 0
+    cycles = []
+    seen = set()
+    for v0 in g.vertices:
+        if v0 in seen:
+            continue
+        start = v0
+        while start in in_edge:
+            prev = in_edge[start].src
+            if prev == v0:
+                start = v0
+                break
+            start = prev
+        verts = [start]
+        weight = 0
+        v = start
+        while v in out_edge:
+            edge = out_edge[v]
+            weight += edge.weight
+            v = edge.dst
+            if v == start:
+                break
+            verts.append(v)
+        is_cycle = v == start and start in out_edge
+        seen.update(verts)
+        if any(u in g.zero_constraints for u in verts):
+            zeroed += len(verts)
+        elif is_cycle:
+            cycles.append(Cycle(len(verts), weight))
+        else:
+            free_paths += 1
+    return ComponentSummary(free_paths, zeroed, tuple(sorted(cycles)))
+
+
+def reference_rows(p, sig, m):
+    """(rep, free paths, zeroed vertices, cycles) per orbit, through the
+    orbit listing and epsilon-sequences of the invariants."""
+    rows = []
+    for prof in orbit_profiles(p, sig):
+        s = reference_classify_components(reference_build_gamma_graph(prof.eps, m))
+        rows.append((prof.orbit.rep, s.free_paths, s.zeroed_vertices, s.cycles))
+    return rows
+
+
+def flat_rows(p, sig, m):
+    return [
+        (row.rep, row.free_paths, row.zeroed_vertices, row.cycles)
+        for row in oracle_components(p, sig, m).rows
+    ]
+
+
 class TestBuildGammaGraph:
     def test_two_dips_zeroes_row_zero_at_ends(self):
-        g = build_gamma_graph((-1, -1, 1, 1), 2)
+        g = reference_build_gamma_graph((-1, -1, 1, 1), 2)
         assert g.zero_constraints == {(1, 0), (4, 0)}
-        summary = classify_components(g)
+        summary = reference_classify_components(g)
         assert summary.free_paths == 2
         assert summary.cycles == ()
         assert summary.zeroed_vertices == 2
 
     def test_zero_orbit_two_cycles(self):
-        summary = classify_components(build_gamma_graph((0, 0, 0, 0), 2))
+        summary = reference_classify_components(reference_build_gamma_graph((0, 0, 0, 0), 2))
         assert summary.free_paths == 0
         assert summary.cycles == (Cycle(4, 4), Cycle(4, 4))
 
     def test_alternating_orbit_one_cycle_two_paths(self):
-        summary = classify_components(build_gamma_graph((-1, 1, -1, 1), 2))
+        summary = reference_classify_components(reference_build_gamma_graph((-1, 1, -1, 1), 2))
         assert summary.free_paths == 2
         assert summary.cycles == (Cycle(4, 4),)
 
     def test_fixed_point_self_loops(self):
-        summary = classify_components(build_gamma_graph((0,), 3))
+        summary = reference_classify_components(reference_build_gamma_graph((0,), 3))
         assert summary.cycles == (Cycle(1, 1), Cycle(1, 1), Cycle(1, 1))
         assert summary.free_paths == 0
 
     def test_level_one_matches_degenerate_rules(self):
         # -1 followed by -1 zero-forces; +1 followed by non-(-1) zero-forces
-        g = build_gamma_graph((-1, -1, 1, 1), 1)
+        g = reference_build_gamma_graph((-1, -1, 1, 1), 1)
         assert g.zero_constraints == {(1, 0), (4, 0)}
         assert {(e.src, e.dst, e.weight) for e in g.edges} == {
             ((2, 0), (3, 0), 1),
         }
+
+    def test_flat_graph_of_the_identity(self):
+        # d = 1: the fixed pair (1,2) lies in J_+, so its left side is
+        # shifted; the fixed pair (2,1) lies in J_-, so its right side is
+        g = build_gamma_graph(Permutation((1, 2)), Signature(1, 1), 2)
+        # vertex (i, j, r) sits at ((i-1)*2 + (j-1))*2 + r
+        assert [v for v, z in enumerate(g.zero) if z] == [2, 4]  # (1,2,0), (2,1,0)
+        assert g.edges == [
+            (0, 0, 1), (1, 1, 1),  # (1,1,r) -> (1,1,r)
+            (2, 3, 2),  # (1,2,0) -> (1,2,1)
+            (5, 4, 0),  # (2,1,1) -> (2,1,0)
+            (6, 6, 1), (7, 7, 1),  # (2,2,r) -> (2,2,r)
+        ]
+        rows = classify_components(g).rows
+        assert [(row.rep, row.size, row.free_paths, row.zeroed_vertices) for row in rows] == [
+            ((1, 1), 1, 0, 0), ((1, 2), 1, 0, 2), ((2, 1), 1, 0, 2), ((2, 2), 1, 0, 0),
+        ]
+        assert rows[0].cycles == rows[3].cycles == (Cycle(1, 1), Cycle(1, 1))
 
     @given(epsilon_seqs)
     def test_level_one_degenerates_to_scalar_rules(self, e):
@@ -65,7 +203,7 @@ class TestBuildGammaGraph:
         # (eps_s in {-1,0}, successor != -1), a zero on (s,0) (successor
         # = -1), a zero on the successor (eps_s = +1, successor != -1),
         # or nothing (eps_s = +1, successor = -1)
-        g = build_gamma_graph(e, 1)
+        g = reference_build_gamma_graph(e, 1)
         l = len(e)
         edges = {(edge.src, edge.dst): edge.weight for edge in g.edges}
         zeros = set(g.zero_constraints)
@@ -82,12 +220,14 @@ class TestBuildGammaGraph:
 
     def test_zero_constraints_do_not_depend_on_level(self):
         for e in [(-1, 1), (1, -1, 0, 1), (0, 1, 1, -1, -1)]:
-            zeros = {build_gamma_graph(tuple(e), m).zero_constraints for m in (1, 2, 3, 4)}
+            zeros = {
+                reference_build_gamma_graph(tuple(e), m).zero_constraints for m in (1, 2, 3, 4)
+            }
             assert len(zeros) == 1
 
     @given(epsilon_seqs, levels)
     def test_degrees_at_most_one(self, e, m):
-        g = build_gamma_graph(e, m)
+        g = reference_build_gamma_graph(e, m)
         outs = [edge.src for edge in g.edges]
         ins = [edge.dst for edge in g.edges]
         assert len(outs) == len(set(outs))
@@ -96,7 +236,7 @@ class TestBuildGammaGraph:
 
     @given(epsilon_seqs, levels)
     def test_cycle_weight_equals_orbit_length(self, e, m):
-        summary = classify_components(build_gamma_graph(e, m))
+        summary = reference_classify_components(reference_build_gamma_graph(e, m))
         for cyc in summary.cycles:
             assert cyc.weight == len(e)
 
@@ -105,13 +245,13 @@ class TestBuildGammaGraph:
         # pick them up one level at a time
         e = (-1, 0, -1, -1, 1, 1, 0, 1)
         for m in (1, 2, 3, 4):
-            summary = classify_components(build_gamma_graph(e, m))
+            summary = reference_classify_components(reference_build_gamma_graph(e, m))
             assert summary.free_paths == min(m, 3)
 
     @given(epsilon_seqs, levels)
     def test_rotation_invariance(self, e, m):
         def values(seq):
-            s = classify_components(build_gamma_graph(seq, m))
+            s = reference_classify_components(reference_build_gamma_graph(seq, m))
             return s.free_paths, sum(c.weight for c in s.cycles)
 
         base = values(e)
@@ -121,83 +261,139 @@ class TestBuildGammaGraph:
 
 class TestClassifyComponents:
     def test_all_zeroed(self):
-        summary = classify_components(build_gamma_graph((1, 1), 2))
+        summary = reference_classify_components(reference_build_gamma_graph((1, 1), 2))
         assert summary.free_paths == 0
         assert summary.zeroed_vertices == 4
         assert summary.cycles == ()
 
     def test_mixed_paths_and_cycles(self):
-        summary = classify_components(build_gamma_graph((-1, 1), 3))
+        summary = reference_classify_components(reference_build_gamma_graph((-1, 1), 3))
         assert summary.free_paths == 1
         assert summary.cycles == (Cycle(2, 2), Cycle(2, 2))
 
     def test_single_zero_orbit_level_one(self):
-        summary = classify_components(build_gamma_graph((0, 0, 0, 0), 1))
+        summary = reference_classify_components(reference_build_gamma_graph((0, 0, 0, 0), 1))
         assert summary.cycles == (Cycle(4, 4),)
 
     def test_malformed_double_out_degree(self):
-        g = GammaGraph(
-            orbit_length=2,
-            level=1,
-            edges=(Edge((1, 0), (2, 0), 1), Edge((1, 0), (1, 0), 1)),
-            zero_constraints=frozenset(),
-        )
-        with pytest.raises(MalformedGraph):
+        g = FlatGraph((1, 2), 1)
+        g.link(0, 1, 1, 1)
+        g.link(0, 0, 1, 1)
+        with pytest.raises(MalformedGraph, match="two outgoing"):
             classify_components(g)
 
     def test_malformed_double_in_degree(self):
-        g = GammaGraph(
-            orbit_length=2,
-            level=1,
-            edges=(Edge((1, 0), (2, 0), 1), Edge((2, 0), (2, 0), 1)),
-            zero_constraints=frozenset(),
-        )
-        with pytest.raises(MalformedGraph):
+        g = FlatGraph((1, 2), 1)
+        g.link(0, 1, 1, 1)
+        g.link(1, 1, 1, 1)
+        with pytest.raises(MalformedGraph, match="two incoming"):
             classify_components(g)
 
     def test_isolated_vertex_counts_as_free_path(self):
-        g = GammaGraph(1, 1, (), frozenset())
+        g = FlatGraph((1,), 1)
         assert classify_components(g).free_paths == 1
 
 
 class TestOracleInvariants:
     def test_square_example(self):
-        p = parse_permutation("(1 2 3 4)")
-        assert oracle_invariants(p, Signature(2, 2), 2) == (4, 16)
+        result = oracle_components(parse_permutation("(1 2 3 4)"), Signature(2, 2), 2)
+        assert (result.free_paths, result.exponent) == (4, 16)
 
     def test_minimal_example(self):
-        p = parse_permutation("4,5,1,2,3")
-        assert oracle_invariants(p, Signature(2, 3), 1) == (6, 5)
+        result = oracle_components(parse_permutation("4,5,1,2,3"), Signature(2, 3), 1)
+        assert (result.free_paths, result.exponent) == (6, 5)
 
     def test_degenerate_signature(self):
         for p in (Permutation((1, 2)), parse_permutation("(1 2)")):
-            assert oracle_invariants(p, Signature(0, 2), 3) == (0, 12)
+            result = oracle_components(p, Signature(0, 2), 3)
+            assert (result.free_paths, result.exponent) == (0, 12)
 
     @given(st.permutations(range(1, 7)), st.integers(0, 6), levels)
     def test_equals_tally_of_orbit_summaries(self, images, d, m):
         p = Permutation(tuple(images))
         sig = Signature(6 - d, d)
-        summaries = orbit_summaries(orbit_profiles(p, sig), m)
-        dimension = sum(summary.free_paths for _, summary in summaries)
-        exponent = sum(cyc.weight for _, summary in summaries for cyc in summary.cycles)
-        assert oracle_invariants(p, sig, m) == (dimension, exponent)
+        rows = reference_rows(p, sig, m)
+        result = oracle_components(p, sig, m)
+        assert result.free_paths == sum(row[1] for row in rows)
+        assert result.exponent == sum(cyc.weight for row in rows for cyc in row[3])
+        assert len(result.cycles) == sum(len(row[3]) for row in rows)
 
     def test_vertex_guard_refuses_an_admitted_report(self):
         # 50 orbits: the report is small, but 50^2 * 401 vertices exceed the cap
         p, sig, level = long_cycle(50), Signature(25, 25), 401
         assert 50 * 50 * level > MAX_ORACLE_VERTICES
-        report = invariant_report(p, sig, level)
+        invariant_report(p, sig, level)
         with pytest.raises(GraphTooLarge, match="must be"):
-            orbit_summaries(report.profiles, level)
+            build_gamma_graph(p, sig, level)
         with pytest.raises(GraphTooLarge, match="must be"):
-            oracle_invariants(p, sig, level)
+            oracle_components(p, sig, level)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("h,max_level", [(1, 4), (2, 4), (3, 4), (4, 4), (5, 4), (6, 2)])
+    def test_rows_match_reference_on_all_of_s_h(self, h, max_level):
+        for images in permutations(range(1, h + 1)):
+            p = Permutation(images)
+            for d in range(h + 1):
+                sig = Signature(h - d, d)
+                for m in range(1, max_level + 1):
+                    assert flat_rows(p, sig, m) == reference_rows(p, sig, m), (images, d, m)
+
+    @given(st.permutations(range(1, 6)), st.integers(0, 5), levels)
+    def test_edge_and_zero_counts_match_reference(self, images, d, m):
+        p = Permutation(tuple(images))
+        sig = Signature(5 - d, d)
+        g = build_gamma_graph(p, sig, m)
+        refs = [reference_build_gamma_graph(prof.eps, m) for prof in orbit_profiles(p, sig)]
+        assert len(g.edges) == sum(len(ref.edges) for ref in refs)
+        assert sum(g.zero) == sum(len(ref.zero_constraints) for ref in refs)
+
+    @given(st.permutations(range(1, 7)), st.integers(0, 6), levels)
+    def test_every_cycle_is_one_lap_of_its_orbit(self, images, d, m):
+        # a cycle returns to its row after one lap, so its length and its
+        # weight both equal the orbit size: the rows need no cycle order
+        for row in oracle_components(Permutation(tuple(images)), Signature(6 - d, d), m).rows:
+            assert all(cyc == (row.size, row.size) for cyc in row.cycles)
+
+
+def caught_somewhere(max_h=5, max_level=3):
+    """Whether cross_check fails for some pi in S_h, 2 <= h <= max_h, and d."""
+    for h in range(2, max_h + 1):
+        for images in permutations(range(1, h + 1)):
+            p = Permutation(images)
+            for d in range(h + 1):
+                if not cross_check(p, Signature(h - d, d), max_level).ok:
+                    return True
+    return False
+
+
+class TestPlantedBugs:
+    """Faults planted in the orbit code of the invariants: the oracle
+    builds its graph from (pi, d) alone, so it must disagree."""
+
+    def test_off_by_one_region_boundary_is_caught(self, monkeypatch):
+        def strict_epsilon_sequence(orbit, sig):
+            d = sig.d
+            return tuple(
+                1 if i < d < j else -1 if j < d < i else 0 for i, j in orbit.points
+            )
+
+        monkeypatch.setattr(invariants, "epsilon_sequence", strict_epsilon_sequence)
+        assert caught_somewhere()
+
+    def test_dropped_orbit_is_caught(self, monkeypatch):
+        real = invariants.pair_orbits
+        monkeypatch.setattr(invariants, "pair_orbits", lambda p: real(p)[:-1])
+        assert caught_somewhere()
+
+    def test_unplanted_code_passes(self):
+        assert not caught_somewhere(max_h=4)
 
 
 class TestCrossCheck:
     def test_square_passes(self):
         chk = cross_check(parse_permutation("(1 2 3 4)"), Signature(2, 2), 4)
         assert chk.ok
-        chk.raise_if_failed()
 
     @pytest.mark.parametrize("h", range(2, 9))
     def test_long_cycle_family_passes_with_closed_form(self, h):
@@ -217,6 +413,24 @@ class TestCrossCheck:
         result = verification_sweep(samples=50, max_h=6, max_level=4, seed=11)
         assert result.ok
 
+    def test_cycle_weight_mismatch_is_reported(self, monkeypatch):
+        real = graph_oracle.classify_components
+
+        def heavier_cycles(g):
+            res = real(g)
+            rows = tuple(
+                row._replace(cycles=tuple(c._replace(weight=c.weight + 1) for c in row.cycles))
+                for row in res.rows
+            )
+            return res._replace(rows=rows)
+
+        monkeypatch.setattr(graph_oracle, "classify_components", heavier_cycles)
+        chk = cross_check(parse_permutation("(1 2 3 4)"), Signature(2, 2), 2)
+        assert not chk.ok
+        mismatch = chk.mismatch
+        assert (mismatch.m, mismatch.kind) == (1, "cycle-weight")
+        assert (mismatch.formula_value, mismatch.oracle_value) == (4, 5)
+
     def test_mismatch_raises_with_details(self):
         chk = cross_check(parse_permutation("(1 2 3 4)"), Signature(2, 2), 3)
         assert chk.mismatch is None
@@ -229,7 +443,7 @@ class TestCrossCheck:
 class TestOracleAgainstFormulas:
     @given(epsilon_seqs, levels)
     def test_dimension_matches_segment_count(self, e, m):
-        summary = classify_components(build_gamma_graph(e, m))
+        summary = reference_classify_components(reference_build_gamma_graph(e, m))
         from btlab.invariants import segment_scan
 
         expected = sum(1 for seg in segment_scan(e) if seg.level <= m)
@@ -239,7 +453,7 @@ class TestOracleAgainstFormulas:
     def test_exponent_matches_circular_level(self, e, m):
         from btlab.invariants import circular_level
 
-        summary = classify_components(build_gamma_graph(e, m))
+        summary = reference_classify_components(reference_build_gamma_graph(e, m))
         level = circular_level(e)
         if level is None or level > m - 1:
             expected = 0

@@ -14,7 +14,6 @@ from btlab.permutations import (
     Signature,
     cycle_decomposition,
     epsilon_sequence,
-    mu_sequence,
     pair_orbit_count,
     pair_orbits,
     parse_permutation,
@@ -229,11 +228,6 @@ class TestEpsilonMu:
         sig = Signature(c=2, d=2)
         orbit = next(o for o in pair_orbits(p) if o.rep == (1, 1))
         assert epsilon_sequence(orbit, sig) == (0, 0, 0, 0)
-
-    def test_mu_rule(self):
-        assert mu_sequence((0, 0, 0, -1, 1)) == (0, 0, 0, 1, 0)
-        assert mu_sequence((0, 0, 0)) == (0, 0, 0)
-        assert mu_sequence((1, 1, -1, -1)) == (0, 0, 1, 1)
 
     @given(perms(), st.integers(0, 7))
     def test_epsilon_sums_to_zero_over_square(self, p, d):

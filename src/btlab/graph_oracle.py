@@ -30,11 +30,10 @@ or the segment combinatorics shows up in ``cross_check``.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, VerificationError
-from .invariants import invariant_report
+from .invariants import InvariantReport, invariant_report
 from .permutations import Permutation, Signature
 
 #: Largest number of graph vertices, h^2 * m at level m, that
@@ -220,41 +219,34 @@ def oracle_components(p: Permutation, sig: Signature, m: int) -> OracleResult:
     return classify_components(build_gamma_graph(p, sig, m))
 
 
-@dataclass(frozen=True)
-class CrossCheck:
-    perm: Permutation
-    c: int
-    d: int
-    max_level: int
-    ok: bool
-    mismatch: VerificationMismatch | None
+def level_mismatch(
+    report: InvariantReport, result: OracleResult, m: int
+) -> tuple[str, int, int] | None:
+    """The first disagreement at level m between ``report`` (an
+    ``invariant_report`` reaching m) and the oracle ``result``, as (kind,
+    formula value, oracle value): a cycle weight that is not the size of
+    its orbit, then the dimension against gamma(m), then the exponent
+    against c_m.  None when all three agree."""
+    for row in result.rows:
+        for cyc in row.cycles:
+            if cyc.weight != row.size:
+                return "cycle-weight", row.size, cyc.weight
+    if result.free_paths != report.gamma[m - 1]:
+        return "dimension", report.gamma[m - 1], result.free_paths
+    if result.exponent != report.c_exponent[m - 1]:
+        return "exponent", report.c_exponent[m - 1], result.exponent
+    return None
 
 
-def cross_check(p: Permutation, sig: Signature, max_level: int) -> CrossCheck:
-    """Compare the gamma and c_m tables of ``invariant_report`` with the
-    graph oracle for m = 1..max_level; also require every cycle weight to
-    equal the size of its orbit.  Returns the first counterexample instead
-    of raising."""
+def cross_check(p: Permutation, sig: Signature, max_level: int) -> VerificationMismatch | None:
+    """Compare ``invariant_report`` with the graph oracle for m =
+    1..max_level by ``level_mismatch``.  Returns the first counterexample
+    instead of raising, None when every level agrees."""
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     report = invariant_report(p, sig, max_level)
-
-    def fail(m, kind, formula_value, oracle_value):
-        return CrossCheck(
-            p, sig.c, sig.d, max_level, False,
-            VerificationMismatch(p, sig.c, sig.d, m, kind, formula_value, oracle_value),
-        )
-
     for m in range(1, max_level + 1):
-        result = oracle_components(p, sig, m)
-        for row in result.rows:
-            for cyc in row.cycles:
-                if cyc.weight != row.size:
-                    return fail(m, "cycle-weight", row.size, cyc.weight)
-        g = report.gamma[m - 1]
-        if result.free_paths != g:
-            return fail(m, "dimension", g, result.free_paths)
-        ce = report.c_exponent[m - 1]
-        if result.exponent != ce:
-            return fail(m, "exponent", ce, result.exponent)
-    return CrossCheck(p, sig.c, sig.d, max_level, True, None)
+        found = level_mismatch(report, oracle_components(p, sig, m), m)
+        if found:
+            return VerificationMismatch(p, sig.c, sig.d, m, *found)
+    return None

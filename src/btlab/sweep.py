@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InputError
-from .graph_oracle import CrossCheck, cross_check
+from .graph_oracle import VerificationMismatch, cross_check
 from .permutations import Permutation, Signature
 from .rng import SplitMix64
 
@@ -65,15 +65,11 @@ def random_epsilon_sequences(samples: int, max_len: int, seed: int) -> Iterator[
 
 @dataclass(frozen=True)
 class SweepResult:
-    samples: int
-    max_h: int
-    max_level: int
-    seed: int
-    checks: tuple[CrossCheck, ...]
+    checks: tuple[VerificationMismatch | None, ...]  # None where a case passed
 
     @property
-    def failures(self) -> tuple[CrossCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
+    def failures(self) -> tuple[VerificationMismatch, ...]:
+        return tuple(c for c in self.checks if c is not None)
 
     @property
     def ok(self) -> bool:
@@ -85,4 +81,4 @@ def verification_sweep(samples: int, max_h: int, max_level: int, seed: int) -> S
     checks = tuple(
         cross_check(p, sig, max_level) for p, sig in random_cases(samples, max_h, seed)
     )
-    return SweepResult(samples, max_h, max_level, seed, checks)
+    return SweepResult(checks)

@@ -34,32 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
-from .polynomials import NonIntegralCoefficient, Poly, PolyRing
-
-__all__ = [
-    "WittVec",
-    "NotPrime",
-    "PrimeTooLarge",
-    "LengthMismatch",
-    "PrimeMismatch",
-    "TableTooLarge",
-    "LawTooLarge",
-    "NonIntegralCoefficient",
-    "ghost_polynomial",
-    "ghost_apply",
-    "sum_polynomials",
-    "product_polynomials",
-    "negation_polynomials",
-    "witt_add",
-    "witt_mul",
-    "witt_neg",
-    "frobenius",
-    "verschiebung",
-    "p_multiple",
-    "teichmuller",
-    "ring_iso_table",
-    "RingIsoReport",
-]
+from .polynomials import Poly, PolyRing
 
 
 class NotPrime(InputError):

@@ -108,7 +108,7 @@ def test_criterion_05_oracle_equivalence_sweep():
     start = time.monotonic()
     result = verification_sweep(samples=200, max_h=7, max_level=4, seed=SWEEP_SEED)
     elapsed = time.monotonic() - start
-    assert result.ok, result.failures[0].mismatch
+    assert result.ok, result.failures[0]
     assert len(result.checks) == 200
     assert elapsed < 30.0, f"sweep took {elapsed:.2f}s"
     report(5, f"200 seeded cases, h<=7, m<=4: oracle == formulas, cycle weights == |O| ({elapsed:.2f}s)")

@@ -117,6 +117,15 @@ class TestOracleCommand:
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+    def test_cycle_weight_fault_fails_the_verdict(self, capsys, heavier_cycles):
+        code, out, _ = run(
+            capsys, "oracle", "--c", "2", "--d", "2", "--perm", "(1 2 3 4)",
+            "--level", "2", "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["verdict"] == "fail"
+
+
 class TestVerifyCommand:
     def test_sweep_passes(self, capsys):
         code, out, _ = run(
@@ -203,6 +212,49 @@ class TestWittCommands:
         doc = json.loads(out)
         assert doc["verdict"] == "pass"
         assert doc["ring_table"] == "pass"
+
+
+H7 = ["--c", "4", "--d", "3", "--perm", "(1 4)(2 5 3)(6 7)"]
+
+
+@pytest.mark.parametrize(
+    "golden,argv",
+    [
+        (f"{name}.{ext}", argv + (["--format", "json"] if ext == "json" else []))
+        for name, argv in [
+            ("invariants_h7_p5", ["invariants", *H7, "--max-level", "4", "--p", "5"]),
+            ("verify_s20", ["verify", "--samples", "20", "--max-h", "5",
+                            "--max-level", "3", "--seed", "7"]),
+            ("enumerate_c2_d3", ["enumerate-bt1", "--c", "2", "--d", "3"]),
+            ("kraft_h7", ["kraft-type", *H7]),
+            ("witt_eval_p3_n3", ["witt-eval", "--p", "3", "--len", "3",
+                                 "--lhs", "1,2,0", "--rhs", "2,2,1"]),
+            ("witt_check_p2_n3", ["witt-check", "--p", "2", "--len", "3", "--samples", "20"]),
+        ]
+        for ext in ("json", "txt")
+    ]
+    + [
+        ("witt_polys_p3_n2.json", ["witt-polys", "--p", "3", "--len", "2", "--format", "json"]),
+        ("witt_p2_n3.txt", ["witt-polys", "--p", "2", "--len", "3"]),
+    ],
+)
+def test_golden_bytes(capsys, golden, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("golden,fmt", [
+    ("verify_planted_cycle_weight.json", ["--format", "json"]),
+    ("verify_planted_cycle_weight.txt", []),
+])
+def test_failure_golden_bytes(capsys, heavier_cycles, golden, fmt):
+    code, out, _ = run(
+        capsys, "verify", "--samples", "6", "--max-h", "4", "--max-level", "2",
+        "--seed", "1", *fmt,
+    )
+    assert code == 1
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 class TestArgumentErrors:

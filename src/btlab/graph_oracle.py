@@ -42,14 +42,6 @@ from .permutations import Permutation, Signature
 MAX_ORACLE_VERTICES = 1_000_000
 
 
-class GraphTooLarge(InputError):
-    pass
-
-
-class MalformedGraph(VerificationError):
-    pass
-
-
 class VerificationMismatch(VerificationError):
     def __init__(self, perm, c, d, m, kind, formula_value, oracle_value):
         self.perm = perm
@@ -119,13 +111,13 @@ class OracleResult(NamedTuple):
 def build_gamma_graph(p: Permutation, sig: Signature, m: int) -> FlatGraph:
     """Expand the level-m congruences of every pair into one FlatGraph."""
     if m < 1:
-        raise ValueError("level m must be >= 1")
+        raise InputError("level m must be >= 1")
     if p.h != sig.h:
-        raise ValueError(f"permutation degree {p.h} != c+d = {sig.h}")
+        raise InputError(f"permutation degree {p.h} != c+d = {sig.h}")
     h, d = p.h, sig.d
     vertices = h * h * m
     if vertices > MAX_ORACLE_VERTICES:
-        raise GraphTooLarge(
+        raise InputError(
             f"oracle vertices (h^2 * level) must be <= {MAX_ORACLE_VERTICES}, got {vertices}"
         )
     g = FlatGraph(p.images, m)
@@ -165,9 +157,9 @@ def classify_components(g: FlatGraph) -> OracleResult:
     # a second edge out of a vertex overwrote the first, and a second edge
     # into one set a flag already set: either way a count falls short
     if len(succ) - succ.count(-1) != g.edge_count:
-        raise MalformedGraph("a vertex has two outgoing edges")
+        raise VerificationError("a vertex has two outgoing edges")
     if g.has_in.count(1) != g.edge_count:
-        raise MalformedGraph("a vertex has two incoming edges")
+        raise VerificationError("a vertex has two incoming edges")
     # Orbit number of every pair index (i-1)*h + (j-1).  This repeats the
     # job of ``pair_orbits`` on purpose: the oracle must not share it.
     # The lexicographic scan meets every orbit first at its least pair.
@@ -242,8 +234,6 @@ def cross_check(p: Permutation, sig: Signature, max_level: int) -> VerificationM
     """Compare ``invariant_report`` with the graph oracle for m =
     1..max_level by ``level_mismatch``.  Returns the first counterexample
     instead of raising, None when every level agrees."""
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
     report = invariant_report(p, sig, max_level)
     for m in range(1, max_level + 1):
         found = level_mismatch(report, oracle_components(p, sig, m), m)

@@ -59,14 +59,6 @@ ORBIT_ROW_COST = 50
 MAX_REPORT_SIZE = 2_000_000
 
 
-class LevelTooLarge(InputError):
-    pass
-
-
-class ReportTooLarge(InputError):
-    pass
-
-
 class Segment(NamedTuple):
     start: int  # 1-based position of the leading -1
     length: int
@@ -233,14 +225,14 @@ class InvariantReport:
 
 def invariant_report(p: Permutation, sig: Signature, max_level: int) -> InvariantReport:
     if p.h != sig.h:
-        raise ValueError(f"permutation degree {p.h} != c+d = {sig.h}")
+        raise InputError(f"permutation degree {p.h} != c+d = {sig.h}")
     if max_level < 1:
-        raise ValueError("max_level must be >= 1")
+        raise InputError("max level must be >= 1")
     if max_level > MAX_LEVEL:
-        raise LevelTooLarge(f"max level must be <= {MAX_LEVEL}, got {max_level}")
+        raise InputError(f"max level must be <= {MAX_LEVEL}, got {max_level}")
     orbits = pair_orbit_count(p)
     if orbits * (max_level + ORBIT_ROW_COST) > MAX_REPORT_SIZE:
-        raise ReportTooLarge(
+        raise InputError(
             f"orbits * (max level + {ORBIT_ROW_COST}) must be <= {MAX_REPORT_SIZE}, "
             f"got {orbits} * ({max_level} + {ORBIT_ROW_COST})"
         )

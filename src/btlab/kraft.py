@@ -27,14 +27,6 @@ from .errors import InputError
 from .permutations import Permutation, Signature, cycle_decomposition
 
 
-class EmptyWord(InputError):
-    pass
-
-
-class TooManyClasses(InputError):
-    pass
-
-
 #: enumerate_bt1 refuses signatures with more classes than this, that is
 #: binomial(c+d, c), at about 15 us per class before rendering: (8,8) has
 #: 12,870 classes and takes 0.19 s, (9,9) 48,620 and 0.75 s, (14,14) 4e7.
@@ -52,7 +44,7 @@ class CircularWord:
 
     def __post_init__(self):
         if not self.letters:
-            raise EmptyWord("circular words must be nonempty")
+            raise InputError("circular words must be nonempty")
         if set(self.letters) - {"F", "V"}:
             raise ValueError(f"letters must be F or V, got {self.letters!r}")
 
@@ -65,7 +57,7 @@ class CircularWord:
 
 def canonical_rotation(letters: str) -> CircularWord:
     if not letters:
-        raise EmptyWord("circular words must be nonempty")
+        raise InputError("circular words must be nonempty")
     best = min(letters[i:] + letters[:i] for i in range(len(letters)))
     return CircularWord(best)
 
@@ -86,11 +78,6 @@ def lyndon_factors(letters: str) -> list[str]:
     return factors
 
 
-def is_aperiodic(w: CircularWord) -> bool:
-    s = w.letters  # a proper power u^k also occurs in s+s at shift |u|
-    return (s + s).find(s, 1) == len(s)
-
-
 def dual_word(w: CircularWord) -> CircularWord:
     swapped = w.letters.translate(str.maketrans("FV", "VF"))
     return canonical_rotation(swapped)
@@ -108,7 +95,7 @@ class BTClass:
 
     def __post_init__(self):
         if not self.words:
-            raise EmptyWord("a class needs at least one word")
+            raise InputError("a class needs at least one word")
         object.__setattr__(self, "words", tuple(sorted(self.words, key=_word_sort_key)))
 
     def render(self) -> str:
@@ -129,7 +116,7 @@ def kraft_type(p: Permutation, sig: Signature) -> BTClass:
     in its least rotation factors as k copies of its aperiodic root u.
     """
     if p.h != sig.h:
-        raise ValueError(f"permutation degree {p.h} != c+d = {sig.h}")
+        raise InputError(f"permutation degree {p.h} != c+d = {sig.h}")
     words = []
     for cyc in cycle_decomposition(p):
         necklace = canonical_rotation("".join("V" if i <= sig.d else "F" for i in cyc))
@@ -156,7 +143,7 @@ def aperiodic_necklaces(f: int, v: int) -> list[CircularWord]:
 def enumerate_bt1(sig: Signature) -> list[BTClass]:
     """All classes, canonically ordered: the Lyndon factors of each arrangement."""
     if sig.h > MAX_BT1_HEIGHT or math.comb(sig.h, sig.c) > MAX_BT1_CLASSES:
-        raise TooManyClasses(
+        raise InputError(
             f"c+d must be at most {MAX_BT1_HEIGHT} and binomial(c+d, c) at most "
             f"{MAX_BT1_CLASSES}, got ({sig.c},{sig.d})"
         )

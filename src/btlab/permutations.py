@@ -25,22 +25,6 @@ from .errors import InputError
 EpsilonSeq = tuple[int, ...]
 
 
-class EmptyInput(InputError):
-    pass
-
-
-class DuplicateImage(InputError):
-    pass
-
-
-class OutOfRange(InputError):
-    pass
-
-
-class DegreeTooLarge(InputError):
-    pass
-
-
 #: Largest degree h that ``parse_permutation`` accepts.  The invariants
 #: walk all h^2 pairs of (pi, pi): a random h = 1000 report computes in
 #: about 1.5 s, and its JSON is 82 MB.
@@ -49,7 +33,7 @@ MAX_DEGREE = 1000
 
 def _check_degree(h: int) -> None:
     if h > MAX_DEGREE:
-        raise DegreeTooLarge(f"permutation degree must be <= {MAX_DEGREE}, got {h}")
+        raise InputError(f"permutation degree must be <= {MAX_DEGREE}, got {h}")
 
 
 @dataclass(frozen=True)
@@ -61,13 +45,13 @@ class Permutation:
     def __post_init__(self):
         h = len(self.images)
         if h == 0:
-            raise EmptyInput("permutation has no points")
+            raise InputError("permutation has no points")
         seen = set()
         for v in self.images:
             if not isinstance(v, int) or not 1 <= v <= h:
-                raise OutOfRange(f"image {v!r} outside 1..{h}")
+                raise InputError(f"image {v!r} outside 1..{h}")
             if v in seen:
-                raise DuplicateImage(f"image {v} appears twice")
+                raise InputError(f"image {v} appears twice")
             seen.add(v)
 
     @property
@@ -93,7 +77,7 @@ class Signature:
 
     def __post_init__(self):
         if self.c < 0 or self.d < 0 or self.c + self.d == 0:
-            raise OutOfRange(f"signature ({self.c},{self.d}) needs c,d >= 0 and c+d > 0")
+            raise InputError(f"signature ({self.c},{self.d}) needs c,d >= 0 and c+d > 0")
 
     @property
     def h(self) -> int:
@@ -123,10 +107,13 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def _parse_point(token: str) -> int:
     token = token.strip()
     if not token:
-        raise EmptyInput("empty entry in permutation text")
-    if not token.isdigit():
-        raise OutOfRange(f"token {token!r} is not a positive integer")
-    return int(token)
+        raise InputError("empty entry in permutation text")
+    if token.isdecimal():  # exactly the characters int() reads as digits
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InputError(f"token {token!r} is not a positive integer")
 
 
 def parse_permutation(text: str, degree: int | None = None) -> Permutation:
@@ -134,18 +121,19 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
 
     Cycle notation: points not mentioned are fixed; the degree defaults
     to the largest point mentioned and can be raised with ``degree``.
-    For one-line notation the degree is the number of entries.  Degrees
-    above ``MAX_DEGREE`` are refused before any image list is built.
+    For one-line notation the degree is the number of entries, which
+    must equal ``degree`` when it is given.  Degrees above
+    ``MAX_DEGREE`` are refused before any image list is built.
     """
     text = text.strip()
     if not text:
-        raise EmptyInput("empty permutation text")
+        raise InputError("empty permutation text")
     if text.startswith("("):
         return _parse_cycles(text, degree)
     entries = [_parse_point(tok) for tok in text.split(",")]
     h = len(entries)
     if degree is not None and degree != h:
-        raise OutOfRange(f"one-line form has {h} entries but degree {degree} was given")
+        raise InputError(f"one-line form has {h} entries, expected {degree}")
     _check_degree(h)
     return Permutation(tuple(entries))
 
@@ -154,23 +142,23 @@ def _parse_cycles(text: str, degree: int | None) -> Permutation:
     cycles = []
     consumed = _CYCLE_RE.sub("", text)
     if consumed.strip():
-        raise OutOfRange(f"unexpected text {consumed.strip()!r} outside cycle parentheses")
+        raise InputError(f"unexpected text {consumed.strip()!r} outside cycle parentheses")
     for body in _CYCLE_RE.findall(text):
         tokens = [t for t in re.split(r"[,\s]+", body.strip()) if t]
         if not tokens:
-            raise EmptyInput("empty cycle '()'")
+            raise InputError("empty cycle '()'")
         cycles.append([_parse_point(t) for t in tokens])
     if not cycles:
-        raise EmptyInput("no cycles found")
+        raise InputError("no cycles found")
     mentioned = [pt for cyc in cycles for pt in cyc]
     h = max(mentioned) if degree is None else degree
     _check_degree(h)
     seen = set()
     for pt in mentioned:
         if pt < 1 or pt > h:
-            raise OutOfRange(f"point {pt} outside 1..{h}")
+            raise InputError(f"point {pt} outside 1..{h}")
         if pt in seen:
-            raise DuplicateImage(f"point {pt} appears in two cycle positions")
+            raise InputError(f"point {pt} appears in two cycle positions")
         seen.add(pt)
     images = list(range(1, h + 1))
     for cyc in cycles:
@@ -249,5 +237,5 @@ def epsilon_sequence(o: ProductOrbit, sig: Signature) -> EpsilonSeq:
     h = sig.h
     for i, j in o.points:
         if not (1 <= i <= h and 1 <= j <= h):
-            raise OutOfRange(f"orbit point ({i},{j}) outside 1..{h} square")
+            raise InputError(f"orbit point ({i},{j}) outside 1..{h} square")
     return tuple(epsilon_value(i, j, sig.d) for i, j in o.points)

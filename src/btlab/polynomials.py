@@ -13,24 +13,16 @@ a finished result.
 
 Division only ever happens by powers of p and must be exact; a remainder
 means the integrality guarantee of the Witt construction was violated
-somewhere, which is reported as NonIntegralCoefficient rather than
+somewhere, which is reported as a VerificationError rather than
 silently rounded.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import VerificationError
-
-
-class NonIntegralCoefficient(VerificationError):
-    pass
-
-
-class ExponentOverflow(VerificationError):
-    pass
 
 
 class PolyRing:
@@ -103,17 +95,6 @@ class PolyRing:
             return self.zero()
         key = self.pack(tuple(exponent if j == i else 0 for j in range(len(self.names))))
         return Poly(self, {key: coeff})
-
-    def from_terms(self, terms: Iterable[tuple[Sequence[int], int]]) -> "Poly":
-        data: dict[int, int] = {}
-        for exponents, coeff in terms:
-            key = self.pack(exponents)
-            c = data.get(key, 0) + coeff
-            if c:
-                data[key] = c
-            else:
-                data.pop(key, None)
-        return Poly(self, data)
 
 
 class Poly:
@@ -238,18 +219,18 @@ class Poly:
             out.update({k + shift: mult * v for k, v in part.items()})
             formed += len(part)
         if len(out) != formed:
-            raise ExponentOverflow(
+            raise VerificationError(
                 f"keys collided in the powers of {self.render_monomial(key)}"
             )
         return Poly(self.ring, out)
 
     def check_exponents(self) -> None:
-        """Raise ExponentOverflow if an exponent has outgrown the bit length
+        """Raise VerificationError if an exponent has outgrown the bit length
         of ``max_exponent``: packed keys are never checked as they form."""
         mask = self.ring._overflow
         for key in self.terms:
             if key & mask:
-                raise ExponentOverflow(
+                raise VerificationError(
                     f"an exponent of {self.render_monomial(key)} exceeds "
                     f"max_exponent {self.ring.max_exponent}"
                 )
@@ -261,7 +242,7 @@ class Poly:
             q, r = divmod(c, d)
             if r:
                 mono = self.render_monomial(k)
-                raise NonIntegralCoefficient(
+                raise VerificationError(
                     f"coefficient {c} of {mono} is not divisible by {d}"
                 )
             out[k] = q
@@ -282,11 +263,6 @@ class Poly:
 
     def __len__(self):
         return len(self.terms)
-
-    def iter_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """(exponent vector, coefficient) pairs in canonical order."""
-        for key in self._sorted_keys():
-            yield self.ring.unpack(key), self.terms[key]
 
     def _sorted_keys(self) -> list[int]:
         # total degree ascending, then exponent vector descending lex

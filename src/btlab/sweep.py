@@ -20,18 +20,20 @@ MAX_SWEEP_VERTICES = 1_000_000
 MAX_SWEEP_SAMPLES = 10_000
 
 
-class SweepTooLarge(InputError):
-    pass
-
-
 def _check_sweep(samples: int, max_h: int, max_level: int) -> None:
+    if samples < 1:
+        raise InputError(f"verify samples must be >= 1, got {samples}")
+    if max_h < 2:
+        raise InputError(f"verify max_h must be >= 2, got {max_h}")
+    if max_level < 1:
+        raise InputError(f"verify max_level must be >= 1, got {max_level}")
     if samples > MAX_SWEEP_SAMPLES:
-        raise SweepTooLarge(
+        raise InputError(
             f"verify samples must be <= {MAX_SWEEP_SAMPLES}, got {samples}"
         )
     vertices = samples * max_h**2 * max_level * (max_level + 1) // 2
     if vertices > MAX_SWEEP_VERTICES:
-        raise SweepTooLarge(
+        raise InputError(
             f"verify graph vertices (samples * max_h^2 * max_level(max_level+1)/2) "
             f"must be <= {MAX_SWEEP_VERTICES}, got {vertices}"
         )
@@ -44,8 +46,6 @@ def random_cases(samples: int, max_h: int, seed: int) -> Iterator[tuple[Permutat
     Fisher-Yates shuffle of the identity.  All draws come from one
     SplitMix64 stream, so the case list is a pure function of the seed.
     """
-    if max_h < 2:
-        raise ValueError("max_h must be at least 2")
     rng = SplitMix64(seed)
     for _ in range(samples):
         h = 2 + rng.below(max_h - 1)
@@ -53,14 +53,6 @@ def random_cases(samples: int, max_h: int, seed: int) -> Iterator[tuple[Permutat
         images = list(range(1, h + 1))
         rng.shuffle(images)
         yield Permutation(tuple(images)), Signature(c=h - d, d=d)
-
-
-def random_epsilon_sequences(samples: int, max_len: int, seed: int) -> Iterator[tuple[int, ...]]:
-    """Seeded stream of cyclic epsilon-sequences over {-1, 0, +1}."""
-    rng = SplitMix64(seed)
-    for _ in range(samples):
-        l = 1 + rng.below(max_len)
-        yield tuple(rng.below(3) - 1 for _ in range(l))
 
 
 @dataclass(frozen=True)

@@ -37,30 +37,6 @@ from .errors import InputError
 from .polynomials import Poly, PolyRing
 
 
-class NotPrime(InputError):
-    pass
-
-
-class PrimeTooLarge(InputError):
-    pass
-
-
-class LengthMismatch(InputError):
-    pass
-
-
-class PrimeMismatch(InputError):
-    pass
-
-
-class TableTooLarge(InputError):
-    pass
-
-
-class LawTooLarge(InputError):
-    pass
-
-
 #: Primes are accepted below this bound, where the Miller-Rabin bases
 #: below are a proof of primality, not a probabilistic test.
 PRIME_LIMIT = 2**64
@@ -93,11 +69,11 @@ def _is_prime(p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _check_prime(p: int) -> None:
+def check_prime(p: int) -> None:
     if p >= PRIME_LIMIT:
-        raise PrimeTooLarge(f"p must be below 2^64, got a {p.bit_length()}-bit number")
+        raise InputError(f"p must be below 2^64, got a {p.bit_length()}-bit number")
     if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
 
 
 #: ring_iso_table checks every pair of the p^n vectors, so it refuses
@@ -141,17 +117,17 @@ def _law_monomials(p: int, n: int) -> int:
 
 def _check_law(p: int, n: int) -> None:
     """Validate (p, n) before any law of that length is built."""
-    _check_prime(p)
+    check_prime(p)
     if n < 1:
-        raise ValueError("length must be >= 1")
+        raise InputError("length must be >= 1")
     if _power_within(p, n - 1, MAX_LAW_WEIGHT) is None:
-        raise LawTooLarge(
+        raise InputError(
             f"p^(n-1) must be at most {MAX_LAW_WEIGHT} to build the laws, "
             f"got {p}^{n - 1}"
         )
     monomials = _law_monomials(p, n)
     if monomials > MAX_LAW_MONOMIALS:
-        raise LawTooLarge(
+        raise InputError(
             f"the candidate monomials of the top law must be at most "
             f"{MAX_LAW_MONOMIALS}, p={p}, n={n} has {monomials}"
         )
@@ -178,7 +154,7 @@ def _ghost_of_vars(ring: PolyRing, p: int, l: int, offset: int) -> Poly:
 
 def ghost_polynomial(p: int, l: int) -> Poly:
     """The l-th ghost polynomial in variables x_0..x_l."""
-    _check_prime(p)
+    check_prime(p)
     if l < 0:
         raise ValueError("ghost index must be >= 0")
     return _ghost_of_vars(_x_ring(p, l + 1), p, l, 0)
@@ -245,9 +221,9 @@ class WittVec:
     components: tuple[int, ...]
 
     def __post_init__(self):
-        _check_prime(self.p)
+        check_prime(self.p)
         if len(self.components) < 1:
-            raise LengthMismatch("Witt vector needs at least one component")
+            raise InputError("Witt vector needs at least one component")
         object.__setattr__(
             self, "components", tuple(a % self.p for a in self.components)
         )
@@ -262,9 +238,9 @@ class WittVec:
 
 def _match(x: WittVec, y: WittVec) -> None:
     if x.p != y.p:
-        raise PrimeMismatch(f"p={x.p} vs p={y.p}")
+        raise InputError(f"p={x.p} vs p={y.p}")
     if x.n != y.n:
-        raise LengthMismatch(f"length {x.n} vs {y.n}")
+        raise InputError(f"length {x.n} vs {y.n}")
 
 
 def witt_add(x: WittVec, y: WittVec) -> WittVec:
@@ -317,10 +293,12 @@ def ring_iso_table(p: int, n: int) -> RingIsoReport:
     The witness map sends m to the m-fold Witt sum of tau(1); it must be
     a bijection onto all p^n vectors and transport both ring tables.
     """
-    _check_prime(p)
+    check_prime(p)
+    if n < 1:
+        raise InputError("length must be >= 1")
     size = _power_within(p, n, math.isqrt(MAX_TABLE_PAIRS))
     if size is None:
-        raise TableTooLarge(
+        raise InputError(
             f"the ring table must be at most {MAX_TABLE_PAIRS} pairs of vectors, "
             f"p={p}, n={n} has more"
         )

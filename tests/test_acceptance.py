@@ -20,7 +20,7 @@ from btlab.invariants import (
 from btlab.kraft import enumerate_bt1, kraft_type
 from btlab.permutations import Permutation, Signature, parse_permutation
 from btlab.rng import SplitMix64
-from btlab.sweep import random_cases, random_epsilon_sequences, verification_sweep
+from btlab.sweep import random_cases, verification_sweep
 from btlab.witt import (
     WittVec,
     frobenius,
@@ -35,6 +35,8 @@ from btlab.witt import (
 )
 
 from test_kraft import reference_count_bt1
+from test_polynomials import from_terms
+from test_sweep import random_epsilon_sequences
 
 SWEEP_SEED = 7
 
@@ -158,16 +160,16 @@ def test_criterion_08_witt_polynomials():
         assert s0 == ring.var(0) + ring.var(2)
         want_s1 = ring.var(1) + ring.var(3)
         for i in range(1, p):
-            want_s1 = want_s1 + ring.from_terms(
-                [((i, 0, p - i, 0), -(math.comb(p, i) // p))]
+            want_s1 = want_s1 + from_terms(
+                ring, [((i, 0, p - i, 0), -(math.comb(p, i) // p))]
             )
         assert s1 == want_s1
         p0, p1 = product_polynomials(p, 2)[:2]
-        assert p0 == ring.from_terms([((1, 0, 1, 0), 1)])
-        assert p1 == ring.from_terms(
-            [((0, 1, p, 0), 1), ((p, 0, 0, 1), 1), ((0, 1, 0, 1), p)]
+        assert p0 == from_terms(ring, [((1, 0, 1, 0), 1)])
+        assert p1 == from_terms(
+            ring, [((0, 1, p, 0), 1), ((p, 0, 0, 1), 1), ((0, 1, 0, 1), p)]
         )
-        # construction already asserts integrality; a NonIntegralCoefficient
+        # construction already asserts integrality; a non-integral coefficient
         # anywhere in n <= 4 fails the criterion
         for n in range(1, 5):
             sum_polynomials(p, n)

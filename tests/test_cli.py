@@ -1,8 +1,13 @@
 import hashlib
+import io
 import json
+import string
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from btlab.cli import main
 
@@ -65,7 +70,24 @@ class TestInvariantsCommand:
         )
         assert code == 2
         assert out == ""
-        assert "error" in err
+        assert err == "error: one-line form has 3 entries, expected 4\n"
+
+    @pytest.mark.parametrize("perm,token", [("\u00b2,1", "\u00b2"), ("(\u00b2 1)", "\u00b2"),
+                                            ("18\u00b9\u00b3", "18\u00b9\u00b3")])
+    def test_non_decimal_digits_exit_two(self, capsys, perm, token):
+        # superscripts pass str.isdigit() but not int()
+        code, out, err = run(capsys, "invariants", "--c", "1", "--d", "1", f"--perm={perm}")
+        assert (code, out) == (2, "")
+        assert err == f"error: token {token!r} is not a positive integer\n"
+
+    @pytest.mark.parametrize("p", ["1", "-7", str(2**64 + 13)])
+    def test_p_must_be_a_prime_below_2_to_the_64(self, capsys, p):
+        code, out, err = run(
+            capsys, "invariants", "--c", "1", "--d", "1", "--perm", "2,1", "--p", p,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not prime" in err or "must be below 2^64" in err
 
     def test_bad_permutation_is_input_error(self, capsys):
         code, _, err = run(
@@ -82,6 +104,17 @@ class TestInvariantsCommand:
         )
         assert code == 0
         assert path.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("command", ["invariants", "oracle", "kraft-type"])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_cycle_form_fixes_unlisted_points(capsys, command, fmt):
+    # at c + d = 4, (1 2) is (1 2)(3)(4)
+    argv = [command, "--c", "2", "--d", "2", "--format", fmt]
+    short = run(capsys, *argv, "--perm", "(1 2)")
+    full = run(capsys, *argv, "--perm", "2,1,3,4")
+    assert short == full
+    assert short[0] == 0 and short[1]
 
 
 class TestOracleCommand:
@@ -291,8 +324,7 @@ class TestArgumentErrors:
             ["invariants", "--c", "1", "--d", "1", "--perm", "(1 2)", "--max-level", "3000000"],
             ["oracle", "--c", "1", "--d", "1", "--perm", "(1 2)", "--level", "10001"],
             # 50^2 * 401 oracle vertices, just over the cap
-            ["oracle", "--c", "25", "--d", "25", "--perm", "(1 2)", "--degree", "50",
-             "--level", "401"],
+            ["oracle", "--c", "25", "--d", "25", "--perm", "(1 2)", "--level", "401"],
             # (p^n)^2 ring-table pairs: 9.6e9 and 1e10
             ["witt-check", "--p", "313", "--len", "2"],
             ["witt-check", "--p", "99991", "--len", "1"],
@@ -307,17 +339,15 @@ class TestArgumentErrors:
             ["verify", "--samples", "10001", "--max-h", "2", "--max-level", "1"],
             # witt-check identity samples
             ["witt-check", "--p", "2", "--len", "2", "--samples", "100000000"],
-            # cycle notation with a degree that would create 10^10 pairs
-            ["invariants", "--c", "100000", "--d", "0", "--perm", "(1 2)",
-             "--degree", "100000"],
+            # cycle notation at c+d = 10^5, which would create 10^10 pairs
+            ["invariants", "--c", "100000", "--d", "0", "--perm", "(1 2)"],
             # orbits * (max level + 50) over the report-size cap: 9,802 orbits
             # at level 10^4, 249,002 at level 1 and 992,020 at level 4
-            ["invariants", "--c", "50", "--d", "50", "--perm", "(1 2)", "--degree", "100",
+            ["invariants", "--c", "50", "--d", "50", "--perm", "(1 2)",
              "--max-level", "10000", "--format", "json"],
-            ["invariants", "--c", "250", "--d", "250", "--perm", "(1 2)", "--degree", "500",
-             "--max-level", "1"],
+            ["invariants", "--c", "250", "--d", "250", "--perm", "(1 2)", "--max-level", "1"],
             ["invariants", "--c", "500", "--d", "500", "--perm", "(1 2 3 4 5)",
-             "--degree", "1000", "--max-level", "4"],
+             "--max-level", "4"],
         ],
     )
     def test_bad_numeric_flags_exit_two(self, capsys, argv):
@@ -326,6 +356,23 @@ class TestArgumentErrors:
         assert out == ""
         assert "must be" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,refusal",
+        [
+            (["verify", "--samples", "0"], "verify samples must be >= 1, got 0"),
+            (["verify", "--max-h", "1"], "verify max_h must be >= 2, got 1"),
+            (["verify", "--max-level", "0"], "verify max_level must be >= 1, got 0"),
+            (["witt-check", "--p", "2", "--len", "0"], "length must be >= 1"),
+            (["witt-eval", "--p", "2", "--len", "0", "--lhs", "1", "--rhs", "1"],
+             "--lhs has 1 components, expected 0"),
+            (["invariants", "--c", "1", "--d", "1", "--perm", "(1 2)", "--p", "4"],
+             "4 is not prime"),
+        ],
+    )
+    def test_refusal_is_one_error_line(self, capsys, argv, refusal):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {refusal}\n")
 
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
     def test_unwritable_out_exits_two(self, capsys, tmp_path, target):
@@ -338,3 +385,30 @@ class TestArgumentErrors:
         assert out == ""
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
+
+
+# ASCII digits, the separators, superscripts (digits to str.isdigit() but
+# not to int()), Arabic-Indic digits (decimal, read by int()) and letters
+PERM_ALPHABET = string.digits + "(), \t" + "²¹³" + "٠١٢٣٩" + "xFVé"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["invariants", "kraft-type", "oracle"]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.text(alphabet=PERM_ALPHABET, max_size=24),
+)
+@example("invariants", 1, 1, "²,1")
+@example("invariants", 2, 2, "18¹³")
+@example("oracle", 1, 1, "(١ ٢)")
+def test_any_perm_text_is_accepted_or_refused_in_one_line(command, c, d, text):
+    # --perm=TEXT, so that argparse never reads the text as a flag
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, "--c", str(c), "--d", str(d), f"--perm={text}"])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

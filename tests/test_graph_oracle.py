@@ -11,14 +11,13 @@ from btlab.graph_oracle import (
     MAX_ORACLE_VERTICES,
     Cycle,
     FlatGraph,
-    GraphTooLarge,
-    MalformedGraph,
     VerificationMismatch,
     build_gamma_graph,
     classify_components,
     cross_check,
     oracle_components,
 )
+from btlab.errors import InputError, VerificationError
 from btlab.invariants import gamma, invariant_report, orbit_profiles
 from btlab.permutations import Permutation, Signature, parse_permutation
 
@@ -92,7 +91,7 @@ def reference_classify_components(g):
     in_edge = {}
     for edge in g.edges:
         if edge.src in out_edge or edge.dst in in_edge:
-            raise MalformedGraph(f"edge {edge} repeats an endpoint")
+            raise VerificationError(f"edge {edge} repeats an endpoint")
         out_edge[edge.src] = edge
         in_edge[edge.dst] = edge
     free_paths = zeroed = 0
@@ -278,14 +277,14 @@ class TestClassifyComponents:
         g = FlatGraph((1, 2), 1)
         g.link(0, 1, 1, 1)
         g.link(0, 0, 1, 1)
-        with pytest.raises(MalformedGraph, match="two outgoing"):
+        with pytest.raises(VerificationError, match="two outgoing edges"):
             classify_components(g)
 
     def test_malformed_double_in_degree(self):
         g = FlatGraph((1, 2), 1)
         g.link(0, 1, 1, 1)
         g.link(1, 1, 1, 1)
-        with pytest.raises(MalformedGraph, match="two incoming"):
+        with pytest.raises(VerificationError, match="two incoming edges"):
             classify_components(g)
 
     def test_isolated_vertex_counts_as_free_path(self):
@@ -322,10 +321,20 @@ class TestOracleInvariants:
         p, sig, level = long_cycle(50), Signature(25, 25), 401
         assert 50 * 50 * level > MAX_ORACLE_VERTICES
         invariant_report(p, sig, level)
-        with pytest.raises(GraphTooLarge, match="must be"):
+        refusal = r"oracle vertices \(h\^2 \* level\) must be <= 1000000, got 1002500"
+        with pytest.raises(InputError, match=refusal):
             build_gamma_graph(p, sig, level)
-        with pytest.raises(GraphTooLarge, match="must be"):
+        with pytest.raises(InputError, match=refusal):
             oracle_components(p, sig, level)
+
+    def test_argument_checks_are_input_errors(self):
+        p = parse_permutation("(1 2)")
+        with pytest.raises(InputError, match="level m must be >= 1"):
+            build_gamma_graph(p, Signature(1, 1), 0)
+        with pytest.raises(InputError, match=r"permutation degree 2 != c\+d = 3"):
+            build_gamma_graph(p, Signature(1, 2), 1)
+        with pytest.raises(InputError, match="max level must be >= 1"):
+            cross_check(p, Signature(1, 1), 0)
 
 
 class TestAgainstReference:

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 import btlab.invariants
 from btlab.cli import main
+from btlab.errors import InputError
 from btlab.invariants import (
     MAX_LEVEL,
     MAX_REPORT_SIZE,
     ORBIT_ROW_COST,
-    LevelTooLarge,
-    ReportTooLarge,
     Segment,
     a_n,
     circular_level,
@@ -33,6 +32,8 @@ from btlab.permutations import (
 
 epsilon_seqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=12).map(tuple)
 long_epsilon_seqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=60).map(tuple)
+
+REPORT_TOO_LARGE = r"orbits \* \(max level \+ 50\) must be <= 2000000"
 
 
 def reference_segment_scan(e):
@@ -266,13 +267,17 @@ class TestInvariantReport:
         assert rep.specializing_height == 0
 
     def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"permutation degree 2 != c\+d = 4"):
             invariant_report(Permutation((1, 2)), Signature(2, 2), 3)
+
+    def test_level_floor(self):
+        with pytest.raises(InputError, match="max level must be >= 1"):
+            invariant_report(Permutation((2, 1)), Signature(1, 1), 0)
 
     def test_level_cap(self):
         p, sig = Permutation((2, 1)), Signature(1, 1)
         assert len(invariant_report(p, sig, MAX_LEVEL).gamma) == MAX_LEVEL
-        with pytest.raises(LevelTooLarge, match="must be"):
+        with pytest.raises(InputError, match="max level must be <= 10000, got 10001"):
             invariant_report(p, sig, MAX_LEVEL + 1)
 
     @pytest.mark.parametrize(
@@ -285,7 +290,7 @@ class TestInvariantReport:
     )
     def test_report_size_cap(self, perm, degree, c, max_level):
         p = parse_permutation(perm, degree=degree)
-        with pytest.raises(ReportTooLarge, match="must be"):
+        with pytest.raises(InputError, match=REPORT_TOO_LARGE):
             invariant_report(p, Signature(c, degree - c), max_level)
 
     def test_report_size_cap_admits_random_h_1000(self):
@@ -299,7 +304,7 @@ class TestInvariantReport:
         # 9,802 orbits fit up to level 154
         p, sig = parse_permutation("(1 2)", degree=100), Signature(50, 50)
         assert len(invariant_report(p, sig, 154).profiles) == 9802
-        with pytest.raises(ReportTooLarge):
+        with pytest.raises(InputError, match=REPORT_TOO_LARGE + r", got 9802 \* \(155 \+ 50\)"):
             invariant_report(p, sig, 155)
 
     @pytest.mark.parametrize("seed", range(8))

@@ -10,17 +10,14 @@ from btlab import kraft
 from btlab.kraft import (
     BTClass,
     CircularWord,
-    EmptyWord,
-    TooManyClasses,
     aperiodic_necklaces,
     canonical_rotation,
     dual_word,
     enumerate_bt1,
-    is_aperiodic,
     kraft_type,
     lyndon_factors,
 )
-from btlab.errors import VerificationError
+from btlab.errors import InputError, VerificationError
 from btlab.permutations import Permutation, Signature, parse_permutation
 
 words = st.text(alphabet="FV", min_size=1, max_size=10)
@@ -28,6 +25,11 @@ words = st.text(alphabet="FV", min_size=1, max_size=10)
 
 class CountMismatch(VerificationError):
     pass
+
+
+def is_aperiodic(w: CircularWord) -> bool:
+    s = w.letters  # a proper power u^k also occurs in s+s at shift |u|
+    return (s + s).find(s, 1) == len(s)
 
 
 def reference_count_bt1(sig):
@@ -104,9 +106,9 @@ class TestWords:
         assert canonical_rotation("F").letters == "F"
 
     def test_empty_word_rejected(self):
-        with pytest.raises(EmptyWord):
+        with pytest.raises(InputError, match="circular words must be nonempty"):
             canonical_rotation("")
-        with pytest.raises(EmptyWord):
+        with pytest.raises(InputError, match="circular words must be nonempty"):
             CircularWord("")
 
     def test_bad_letters_rejected(self):
@@ -174,6 +176,10 @@ class TestKraftType:
         joined = kraft_type(parse_permutation("(1 2)"), Signature(1, 1))
         assert joined.render() == "FV"
         assert len({split.render(), joined.render()}) == 2
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(InputError, match=r"permutation degree 2 != c\+d = 3"):
+            kraft_type(Permutation((1, 2)), Signature(1, 2))
 
     def test_periodic_cycle_word_splits(self):
         # d = 2: cycle (1 2) reads "VV" and (3 4) reads "FF"; both are
@@ -294,7 +300,7 @@ class TestCounts:
 
     @pytest.mark.parametrize("c,d", [(14, 14), (9, 9), (0, 41), (0, 10**9)])
     def test_guard_rejects_oversized_signatures(self, c, d):
-        with pytest.raises(TooManyClasses, match="c\\+d must be at most"):
+        with pytest.raises(InputError, match="c\\+d must be at most 40 and binomial"):
             enumerate_bt1(Signature(c, d))
 
 
@@ -304,5 +310,5 @@ class TestBTClass:
         assert cls.render() == "FFV+V"
 
     def test_rejects_empty(self):
-        with pytest.raises(EmptyWord):
+        with pytest.raises(InputError, match="a class needs at least one word"):
             BTClass(())

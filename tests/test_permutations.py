@@ -1,15 +1,13 @@
+import re
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from btlab.errors import InputError
 from btlab.permutations import (
     MAX_DEGREE,
-    DegreeTooLarge,
-    DuplicateImage,
-    EmptyInput,
-    OutOfRange,
     Permutation,
     Signature,
     cycle_decomposition,
@@ -68,31 +66,50 @@ class TestParsing:
         assert p.images == (2, 1, 3, 4)
 
     def test_degree_below_mentioned_point_rejected(self):
-        with pytest.raises(OutOfRange, match="5"):
+        with pytest.raises(InputError, match="^point 5 outside 1..3$"):
             parse_permutation("(1 5)", degree=3)
 
     def test_duplicate_image_names_token(self):
-        with pytest.raises(DuplicateImage, match="2"):
+        with pytest.raises(InputError, match="^image 2 appears twice$"):
             parse_permutation("2,2,1")
-        with pytest.raises(DuplicateImage, match="3"):
+        with pytest.raises(InputError, match="^point 3 appears in two cycle positions$"):
             parse_permutation("(1 3)(3 2)")
 
     def test_out_of_range_names_token(self):
-        with pytest.raises(OutOfRange, match="7"):
+        with pytest.raises(InputError, match="^image 7 outside 1..3$"):
             parse_permutation("1,7,3")
-        with pytest.raises(OutOfRange, match="x"):
+        with pytest.raises(InputError, match="^token 'x' is not a positive integer$"):
             parse_permutation("1,x,3")
 
+    @pytest.mark.parametrize("token", ["\u00b2", "18\u00b9\u00b3", "-1", "+1", "1_0", "1.0"])
+    def test_non_decimal_tokens_name_the_token(self, token):
+        # str.isdigit() accepts superscripts that int() rejects
+        refusal = "^" + re.escape(f"token {token!r} is not a positive integer") + "$"
+        with pytest.raises(InputError, match=refusal):
+            parse_permutation(f"{token},1")
+        with pytest.raises(InputError, match=refusal):
+            parse_permutation(f"({token} 1)")
+
+    def test_other_decimal_digits_are_read(self):
+        # Arabic-Indic digits are decimal, and int() reads them
+        assert parse_permutation("\u0662,\u0661").images == (2, 1)
+        assert parse_permutation("(\u0661 \u0662)").images == (2, 1)
+
+    def test_more_digits_than_int_reads_is_refused(self):
+        token = "1" * 5000
+        with pytest.raises(InputError, match="is not a positive integer$"):
+            parse_permutation(f"{token},1")
+
     def test_empty_inputs(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InputError, match="^empty permutation text$"):
             parse_permutation("")
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InputError, match="^empty cycle '\\(\\)'$"):
             parse_permutation("()")
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InputError, match="^empty entry in permutation text$"):
             parse_permutation("1,,2")
 
     def test_one_line_degree_mismatch(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="^one-line form has 2 entries, expected 3$"):
             parse_permutation("2,1", degree=3)
 
     def test_degree_guard(self):
@@ -100,13 +117,14 @@ class TestParsing:
         assert parse_permutation("(1 2)", degree=MAX_DEGREE).h == 1000
         one_line = ",".join(str(i) for i in range(1, MAX_DEGREE + 1))
         assert parse_permutation(one_line).h == 1000
-        with pytest.raises(DegreeTooLarge, match="must be <= 1000"):
+        too_large = "^permutation degree must be <= 1000, got "
+        with pytest.raises(InputError, match=too_large + "1001$"):
             parse_permutation("(1 2)", degree=MAX_DEGREE + 1)
-        with pytest.raises(DegreeTooLarge):
+        with pytest.raises(InputError, match=too_large + "1001$"):
             parse_permutation(one_line + ",1001")
-        with pytest.raises(DegreeTooLarge):
+        with pytest.raises(InputError, match=too_large + "1000000000000$"):
             parse_permutation("(1 2)", degree=10**12)
-        with pytest.raises(DegreeTooLarge):
+        with pytest.raises(InputError, match=too_large + f"{10**20}$"):
             parse_permutation(f"(1 {10**20})")
 
     def test_formats_agree(self):

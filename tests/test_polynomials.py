@@ -2,7 +2,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btlab.polynomials import ExponentOverflow, NonIntegralCoefficient, PolyRing
+from btlab.errors import VerificationError
+from btlab.polynomials import Poly, PolyRing
+
+
+def from_terms(ring, terms):
+    """The polynomial of ``ring`` with these (exponent vector, coefficient)
+    terms; repeated exponent vectors add up."""
+    data: dict[int, int] = {}
+    for exponents, coeff in terms:
+        key = ring.pack(exponents)
+        c = data.get(key, 0) + coeff
+        if c:
+            data[key] = c
+        else:
+            data.pop(key, None)
+    return Poly(ring, data)
+
+
+def iter_terms(f):
+    """(exponent vector, coefficient) pairs of ``f`` in canonical order."""
+    for key in f._sorted_keys():
+        yield f.ring.unpack(key), f.terms[key]
 
 
 def reference_pow(f, e):
@@ -23,7 +44,7 @@ def reference_pow(f, e):
 def isolated_terms(f):
     """Exponent vectors of the non-constant terms of f whose variables
     occur in no other term."""
-    terms = [exps for exps, _ in f.iter_terms()]
+    terms = [exps for exps, _ in iter_terms(f)]
     return [
         exps for exps in terms
         if any(exps) and not any(
@@ -56,8 +77,8 @@ def test_binomial_square(ring):
     x = ring.var(0)
     y = ring.var(2)
     sq = (x + y) ** 2
-    expected = ring.from_terms(
-        [((2, 0, 0, 0), 1), ((1, 0, 1, 0), 2), ((0, 0, 2, 0), 1)]
+    expected = from_terms(
+        ring, [((2, 0, 0, 0), 1), ((1, 0, 1, 0), 2), ((0, 0, 2, 0), 1)]
     )
     assert sq == expected
 
@@ -75,13 +96,13 @@ def test_pow_zero_gives_one(ring):
 def test_divexact(ring):
     p = ring.var(0).scale(6) + ring.constant(9)
     assert p.divexact(3) == ring.var(0).scale(2) + ring.constant(3)
-    with pytest.raises(NonIntegralCoefficient, match="9"):
+    with pytest.raises(VerificationError, match="coefficient 9 of 1 is not divisible by 2"):
         p.divexact(2)
 
 
 def test_render_matches_canonical_example(ring):
-    s1 = ring.from_terms(
-        [((0, 1, 0, 0), 1), ((0, 0, 0, 1), 1), ((1, 0, 1, 0), -1)]
+    s1 = from_terms(
+        ring, [((0, 1, 0, 0), 1), ((0, 0, 0, 1), 1), ((1, 0, 1, 0), -1)]
     )
     assert s1.render() == "x_1 + y_1 - x_0*y_0"
 
@@ -94,7 +115,7 @@ def test_render_constants_and_negatives(ring):
 
 
 def test_eval_mod(ring):
-    poly = ring.from_terms([((2, 0, 1, 0), 3), ((0, 1, 0, 0), 1)])
+    poly = from_terms(ring, [((2, 0, 1, 0), 3), ((0, 1, 0, 0), 1)])
     # 3*x_0^2*y_0 + x_1 at (2, 4, 3, 0) mod 5
     assert poly.eval_mod((2, 4, 3, 0), 5) == (3 * 4 * 3 + 4) % 5
 
@@ -114,7 +135,7 @@ small_polys = st.lists(
         st.integers(-50, 50),
     ),
     max_size=6,
-).map(cubic_ring.from_terms)
+).map(lambda terms: from_terms(cubic_ring, terms))
 
 
 @given(small_polys, small_polys)
@@ -176,14 +197,14 @@ def sparse_polys(draw):
             exps[i] = draw(st.integers(1, 3))
         terms.append((tuple(exps), draw(coefficients.filter(bool))))
         v += size
-    return ring.from_terms(terms)
+    return from_terms(ring, terms)
 
 
 three = power_rings[2]
 # 0, 1 and several isolated terms, constants and negative coefficients.
-NO_ISOLATED = three.from_terms([((1, 1, 0), 2), ((0, 1, 1), -3), ((1, 0, 1), 1), ((0, 0, 0), 5)])
-ONE_ISOLATED = three.from_terms([((2, 0, 0), -1), ((0, 1, 1), 4), ((0, 2, 1), -2), ((0, 0, 0), 1)])
-SEVERAL_ISOLATED = three.from_terms([((1, 0, 0), 1), ((0, 3, 0), -7), ((0, 0, 2), 2), ((0, 0, 0), -1)])
+NO_ISOLATED = from_terms(three, [((1, 1, 0), 2), ((0, 1, 1), -3), ((1, 0, 1), 1), ((0, 0, 0), 5)])
+ONE_ISOLATED = from_terms(three, [((2, 0, 0), -1), ((0, 1, 1), 4), ((0, 2, 1), -2), ((0, 0, 0), 1)])
+SEVERAL_ISOLATED = from_terms(three, [((1, 0, 0), 1), ((0, 3, 0), -7), ((0, 0, 2), 2), ((0, 0, 0), -1)])
 
 
 @pytest.mark.parametrize("f,count", [
@@ -219,9 +240,9 @@ def test_pow_rejects_negative_exponents(ring):
 
 def test_exponent_check_catches_an_overgrown_exponent(ring):
     overgrown = ring.var(0, exponent=ring.max_exponent) ** 3
-    with pytest.raises(ExponentOverflow, match="x_0\\^192"):
+    with pytest.raises(VerificationError, match="an exponent of x_0\\^192 exceeds max_exponent 64"):
         overgrown.check_exponents()
-    with pytest.raises(ExponentOverflow):
+    with pytest.raises(VerificationError, match="exceeds max_exponent 64"):
         (ring.var(2) + overgrown).check_exponents()
 
 
@@ -230,5 +251,5 @@ def test_key_collision_in_a_binomial_expansion_raises(ring):
     x = ring.var(0)
     f = x + ring.var(0, exponent=2) + ring.var(0, exponent=3)
     key = next(iter(x.terms))
-    with pytest.raises(ExponentOverflow, match="collided"):
+    with pytest.raises(VerificationError, match="keys collided in the powers of x_0"):
         f._binomial(key, f._without(key)._power_list(2), 2)

@@ -2,12 +2,16 @@ import pytest
 
 from btlab import sweep
 from btlab.rng import SplitMix64
-from btlab.sweep import (
-    SweepTooLarge,
-    random_cases,
-    random_epsilon_sequences,
-    verification_sweep,
-)
+from btlab.errors import InputError
+from btlab.sweep import random_cases, verification_sweep
+
+
+def random_epsilon_sequences(samples, max_len, seed):
+    """Seeded stream of cyclic epsilon-sequences over {-1, 0, +1}."""
+    rng = SplitMix64(seed)
+    for _ in range(samples):
+        l = 1 + rng.below(max_len)
+        yield tuple(rng.below(3) - 1 for _ in range(l))
 
 
 class TestSplitMix64:
@@ -73,7 +77,19 @@ class TestVerificationSweep:
         "samples,max_h,max_level", [(2, 80, 60), (1, 100, 14), (10_001, 2, 1)]
     )
     def test_guard_refuses_oversized_sweeps(self, samples, max_h, max_level):
-        with pytest.raises(SweepTooLarge, match="must be <="):
+        with pytest.raises(InputError, match=r"^verify (samples|graph vertices .*) must be <= "):
+            verification_sweep(samples, max_h, max_level, seed=0)
+
+    @pytest.mark.parametrize(
+        "samples,max_h,max_level,refusal",
+        [
+            (0, 7, 4, "verify samples must be >= 1, got 0"),
+            (200, 1, 4, "verify max_h must be >= 2, got 1"),
+            (200, 7, 0, "verify max_level must be >= 1, got 0"),
+        ],
+    )
+    def test_guard_refuses_empty_sweeps(self, samples, max_h, max_level, refusal):
+        with pytest.raises(InputError, match=refusal):
             verification_sweep(samples, max_h, max_level, seed=0)
 
     def test_small_sweep_passes(self):

@@ -9,15 +9,10 @@ from hypothesis import strategies as st
 
 from btlab import witt
 from btlab.cli import main
-from btlab.polynomials import ExponentOverflow, Poly
+from btlab.errors import InputError, VerificationError
+from btlab.polynomials import Poly
 from btlab.rng import SplitMix64
 from btlab.witt import (
-    LawTooLarge,
-    LengthMismatch,
-    NotPrime,
-    PrimeMismatch,
-    PrimeTooLarge,
-    TableTooLarge,
     WittVec,
     frobenius,
     ghost_apply,
@@ -34,7 +29,7 @@ from btlab.witt import (
     witt_neg,
 )
 
-from test_polynomials import reference_pow
+from test_polynomials import from_terms, iter_terms, reference_pow
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,7 +60,7 @@ class TestGhost:
         )
 
     def test_rejects_composite(self):
-        with pytest.raises(NotPrime):
+        with pytest.raises(InputError, match="^6 is not prime$"):
             ghost_polynomial(6, 1)
 
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 3)])
@@ -86,7 +81,7 @@ def closed_form_s1(p):
         exps = [0] * (2 * n)
         exps[0] = i
         exps[n] = p - i
-        poly = poly + ring.from_terms([(tuple(exps), -(math.comb(p, i) // p))])
+        poly = poly + from_terms(ring, [(tuple(exps), -(math.comb(p, i) // p))])
     return poly
 
 
@@ -102,14 +97,14 @@ class TestClosedForms:
     def test_p0(self, p):
         p0 = product_polynomials(p, 1)[0]
         ring = p0.ring
-        assert p0 == ring.from_terms([((1, 1), 1)])
+        assert p0 == from_terms(ring, [((1, 1), 1)])
 
     def test_p1(self, p):
         p1 = product_polynomials(p, 2)[1]
         ring = p1.ring
         # y_0^p x_1 + y_1 x_0^p + p x_1 y_1  (vars: x_0 x_1 y_0 y_1)
-        assert p1 == ring.from_terms(
-            [((0, 1, p, 0), 1), ((p, 0, 0, 1), 1), ((0, 1, 0, 1), p)]
+        assert p1 == from_terms(
+            ring, [((0, 1, p, 0), 1), ((p, 0, 0, 1), 1), ((0, 1, 0, 1), p)]
         )
 
     def test_negation_head(self, p):
@@ -220,12 +215,14 @@ class TestVectorOps:
                 ) == teichmuller(a * b, 5, 2)
 
     def test_mismatch_errors(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="^length 1 vs 2$"):
             witt_add(WittVec(2, (1,)), WittVec(2, (1, 0)))
-        with pytest.raises(PrimeMismatch):
+        with pytest.raises(InputError, match="^p=2 vs p=3$"):
             witt_add(WittVec(2, (1, 0)), WittVec(3, (1, 0)))
-        with pytest.raises(NotPrime):
+        with pytest.raises(InputError, match="^4 is not prime$"):
             WittVec(4, (1, 0))
+        with pytest.raises(InputError, match="Witt vector needs at least one component"):
+            WittVec(2, ())
 
 
 class TestPrimality:
@@ -237,7 +234,8 @@ class TestPrimality:
     def accepted(p):
         try:
             WittVec(p, (1,))
-        except NotPrime:
+        except InputError as exc:
+            assert str(exc) == f"{p} is not prime"
             return False
         return True
 
@@ -259,12 +257,12 @@ class TestPrimality:
         ],
     )
     def test_pseudoprimes_and_composites_rejected(self, n):
-        with pytest.raises(NotPrime):
+        with pytest.raises(InputError, match=f"^{n} is not prime$"):
             WittVec(n, (1,))
 
     @pytest.mark.parametrize("p", [2**64, 10**400 + 1])
     def test_primes_from_2_to_the_64_rejected(self, p):
-        with pytest.raises(PrimeTooLarge, match="must be below 2\\^64"):
+        with pytest.raises(InputError, match="^p must be below 2\\^64, got a"):
             WittVec(p, (1,))
 
 
@@ -315,12 +313,16 @@ class TestRingIsoTable:
         assert report.size == p**n
 
     def test_guard(self):
-        with pytest.raises(TableTooLarge):
+        with pytest.raises(InputError, match="ring table must be at most 10000 pairs"):
             ring_iso_table(2, 17)
+
+    def test_refuses_empty_vectors(self):
+        with pytest.raises(InputError, match="^length must be >= 1$"):
+            ring_iso_table(2, 0)
 
     @pytest.mark.parametrize("p,n", [(313, 2), (99991, 1), (101, 1), (3, 10**9)])
     def test_guard_bounds_pair_count(self, p, n):
-        with pytest.raises(TableTooLarge, match="pairs of vectors"):
+        with pytest.raises(InputError, match="must be at most 10000 pairs of vectors"):
             ring_iso_table(p, n)
 
     def test_guard_admits_largest_table_in_use(self):
@@ -350,7 +352,7 @@ class TestRingIsoTable:
 def reference_eval(poly, values, p):
     """Sum of c * prod v^e mod p over the unreduced integer terms."""
     total = 0
-    for exps, c in poly.iter_terms():
+    for exps, c in iter_terms(poly):
         term = c
         for v, e in zip(values, exps):
             term *= pow(v, e, p)
@@ -417,8 +419,14 @@ class TestLawPowers:
     def test_overgrown_exponent_fails_the_solve(self):
         ring = witt._x_ring(3, 2)
         overgrown = ring.var(0, exponent=ring.max_exponent) ** 3
-        with pytest.raises(ExponentOverflow, match="exceeds max_exponent 3"):
+        with pytest.raises(VerificationError, match="^an exponent of .* exceeds max_exponent 3$"):
             witt._solve_law(3, 1, ring, lambda l: overgrown)
+
+
+LAW_TOO_LARGE = (
+    r"^p\^\(n-1\) must be at most 300 to build the laws"
+    r"|^the candidate monomials of the top law must be at most 200000"
+)
 
 
 class TestLawGuard:
@@ -441,5 +449,10 @@ class TestLawGuard:
     )
     def test_rejects_oversized_laws(self, p, n):
         for build in (sum_polynomials, product_polynomials, negation_polynomials):
-            with pytest.raises(LawTooLarge, match="to build the laws|candidate monomials"):
+            with pytest.raises(InputError, match=LAW_TOO_LARGE):
                 build(p, n)
+
+    def test_rejects_empty_laws(self):
+        for build in (sum_polynomials, product_polynomials, negation_polynomials):
+            with pytest.raises(InputError, match="^length must be >= 1$"):
+                build(2, 0)

@@ -135,6 +135,8 @@ def cmd_oracle(args) -> dict:
     sig = _signature(args)
     perm = _permutation(args, sig)
     level = args.level
+    if level < 1:
+        raise InputError(f"--level must be >= 1, got {level}")
     report = invariant_report(perm, sig, level)
     result = oracle_components(perm, sig, level)
     doc = _report_doc(report, level, None)
@@ -256,6 +258,8 @@ def _parse_components(text: str, p: int, n: int, flag: str) -> WittVec:
 
 
 def cmd_witt_eval(args) -> dict:
+    if args.len < 1:
+        raise InputError(f"--len must be >= 1, got {args.len}")
     x = _parse_components(args.lhs, args.p, args.len, "--lhs")
     y = _parse_components(args.rhs, args.p, args.len, "--rhs")
     return {
@@ -345,8 +349,16 @@ def _witt_check_table(doc: dict) -> str:
     return "\n".join([_aligned(rows)] + [f"  {msg}" for msg in doc["identity_failures"]])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error:`` line with exit 2, as
+    every other refusal is reported; subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="btlab",
         description="Invariants of truncated Barsotti-Tate groups from permutations",
     )

@@ -19,16 +19,27 @@ zero-forced vertex is one free variable (dimension 1), a path touching
 one collapses to 0, and a cycle of weight w is y = y^{p^w}: p^w points,
 adding w to the component-count exponent.
 
-The graph is four flat arrays over the vertex index ((i-1)*h + (j-1))*m
-+ r, filled from the images of pi and the test "point <= d" alone; its
-components are credited to (pi, pi) orbits found here by iterating pi.
-Nothing comes from ``pair_orbits``, ``epsilon_sequence`` or
-``segment_scan``, so a fault in the orbit listing, the epsilon-sequences
-or the segment combinatorics shows up in ``cross_check``.
+The graph is four flat arrays over the row-major vertex index r*h^2 +
+(i-1)*h + (j-1), filled from the images of pi and the test "point <= d"
+alone, so the m edges of a pair are one slice of step h^2; its components
+are credited to (pi, pi) orbits found here by iterating pi.  Nothing comes
+from ``pair_orbits``, ``epsilon_sequence`` or ``segment_scan``, so a fault
+in the orbit listing, the epsilon-sequences or the segment combinatorics
+shows up in ``cross_check``.
+
+The level-m system is the first m Witt components of the level-M one, so
+the level-m graph is the first m rows of the level-M graph (a prefix of
+the arrays) without the equations of row m.  Those touch row m-1 only:
+they give every pair of J_+ its out-edge there, and every pair of J_- its
+in-edge.  Zero flags (all in row 0) and weights do not depend on the
+level, so ``cross_check`` builds the level-M graph once and classifies
+each ``FlatGraph.truncated(m)``.
 """
 
 from __future__ import annotations
 
+import copy
+import sys
 from array import array
 from typing import NamedTuple, Sequence
 
@@ -37,8 +48,9 @@ from .invariants import InvariantReport, invariant_report
 from .permutations import Permutation, Signature
 
 #: Largest number of graph vertices, h^2 * m at level m, that
-#: ``build_gamma_graph`` expands: 13 bytes a vertex, so at the cap (a
-#: 50-cycle at level 400) 13 MB and 0.34 s on a Xeon with Python 3.11.
+#: ``build_gamma_graph`` expands: 11 bytes a vertex while building and 8
+#: while classifying, so at the cap (a 50-cycle at level 400) 11 MB at the
+#: peak and 0.3 s to build and classify on a Xeon with Python 3.11.
 MAX_ORACLE_VERTICES = 1_000_000
 
 
@@ -57,28 +69,98 @@ class VerificationMismatch(VerificationError):
         )
 
 
-class FlatGraph:
-    """Successor, edge weight, has-in-edge and zero flag per vertex index."""
+def _iota(n: int) -> array:
+    """``array("i", range(n))``, ten times faster at a million entries.
+    After a first block from ``range``, every block is the first plus its
+    offset, added to all its lanes at once as one big integer; no lane
+    carries into the next, since every entry is below 2^31.  Blocks of 32
+    KB keep the scratch integers small."""
+    a = array("i", range(min(n, 1 << 13)))
+    order, size = sys.byteorder, a.itemsize
+    block = int.from_bytes(a, order)
+    ones = int.from_bytes((1).to_bytes(size, order) * len(a), order)
+    width = size * len(a)
+    while len(a) < n:
+        lanes = (block + len(a) * ones).to_bytes(width, order)
+        a.frombytes(lanes[:size * (n - len(a))])
+    return a
 
-    def __init__(self, images: Sequence[int], m: int):
-        self.img = [v - 1 for v in images]  # img[i] = pi(i + 1) - 1
-        self.h = h = len(self.img)
+
+class FlatGraph:
+    """Successor, edge weight, has-in-edge and zero flag per vertex index
+    r*h^2 + (i-1)*h + (j-1), with the (pi, pi) orbit of every pair.
+
+    ``d`` places the points 1..d below the region boundary; only
+    ``truncated`` reads it.
+    """
+
+    def __init__(self, images: Sequence[int], m: int, d: int = 0):
+        self.img = img = [v - 1 for v in images]  # img[i] = pi(i + 1) - 1
+        self.h = h = len(img)
         self.m = m
+        self.d = d
         n = h * h * m
+        self._index = _iota(n)  # ``link`` copies succ blocks from this
         self.succ = array("i", [-1]) * n  # successor vertex, -1 for none
         self.weight = bytearray(n)  # succ = vertex^(p^weight)
         self.has_in = bytearray(n)
         self.zero = bytearray(n)  # the vertex is forced to 0
-        self._index = array("i", range(n))  # succ blocks are slices of this
         self.edge_count = 0
+        # Orbit number of every pair index (i-1)*h + (j-1).  This repeats
+        # the job of ``pair_orbits`` on purpose: the oracle must not share
+        # it.  The lexicographic scan meets every orbit first at its least
+        # pair.
+        self.label = label = [-1] * (h * h)
+        self.reps: list[tuple[int, int]] = []
+        self.sizes: list[int] = []
+        for q in range(h * h):
+            if label[q] < 0:
+                a, b = divmod(q, h)
+                self.reps.append((a + 1, b + 1))
+                size = 0
+                while label[a * h + b] < 0:
+                    label[a * h + b] = len(self.sizes)
+                    size += 1
+                    a, b = img[a], img[b]
+                self.sizes.append(size)
 
     def link(self, src: int, dst: int, count: int, weight: int) -> None:
-        """Add the edges src + k -> dst + k of ``weight`` for k < count;
-        ``classify_components`` refuses two edges out of or into a vertex."""
+        """Add the edges src + k*h^2 -> dst + k*h^2 of ``weight`` for k <
+        count, one per Witt row; ``classify_components`` refuses two edges
+        out of or into a vertex."""
+        step = self.h * self.h
         self.edge_count += count
-        self.succ[src:src + count] = self._index[dst:dst + count]
-        self.weight[src:src + count] = bytes((weight,)) * count
-        self.has_in[dst:dst + count] = b"\1" * count
+        self.succ[src:src + count * step:step] = self._index[dst:dst + count * step:step]
+        self.weight[src:src + count * step:step] = bytes((weight,)) * count
+        self.has_in[dst:dst + count * step:step] = b"\1" * count
+
+    def truncated(self, m: int) -> FlatGraph:
+        """The level-m graph for m <= self.m: the first m rows, without the
+        equations of Witt row m.  Those cut the out-edge of every pair of
+        J_+ in row m-1 and the in-edge of every pair of J_- there; every
+        other edge, weight and zero flag is the same at every level.
+
+        The copy shares ``img``, the orbit labels, ``weight`` and ``zero``
+        with this graph (the last two may be longer than ``succ``).
+        """
+        if m == self.m:
+            return self
+        h, d = self.h, self.d
+        n = h * h * m
+        t = copy.copy(self)
+        t.m = m
+        t.succ = self.succ[:n]
+        t.has_in = self.has_in[:n]
+        # a pair has m edges at level m, one fewer if a side is shifted
+        t.edge_count -= (self.m - m) * h * h
+        row = n - h * h
+        no_edge = array("i", [-1]) * (h - d)
+        for a in range(row, row + d * h, h):  # (i, j) with i <= d < j
+            t.succ[a + d:a + h] = no_edge
+        no_in = bytes(d)
+        for a in range(row + d * h, n, h):  # (i, j) with j <= d < i
+            t.has_in[a:a + d] = no_in
+        return t
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:
@@ -120,15 +202,16 @@ def build_gamma_graph(p: Permutation, sig: Signature, m: int) -> FlatGraph:
         raise InputError(
             f"oracle vertices (h^2 * level) must be <= {MAX_ORACLE_VERTICES}, got {vertices}"
         )
-    g = FlatGraph(p.images, m)
+    g = FlatGraph(p.images, m, d)
     img, link, zero = g.img, g.link, g.zero
+    row = h * h  # one Witt row further on
     low = [i < d for i in range(h)]  # point i + 1 lies in {1..d}
     for i in range(h):
         ti = img[i]
         for j in range(h):
             tj = img[j]
-            src = (i * h + j) * m
-            dst = (ti * h + tj) * m
+            src = i * h + j
+            dst = ti * h + tj
             shift_left = low[i] and not low[j]  # left side is p * sigma(x)
             shift_right = low[tj] and not low[ti]  # right side is p * x'
             if shift_left and shift_right:
@@ -136,12 +219,13 @@ def build_gamma_graph(p: Permutation, sig: Signature, m: int) -> FlatGraph:
                 link(src, dst, m - 1, 1)
             elif shift_left:
                 zero[dst] = 1
-                link(src, dst + 1, m - 1, 2)
+                link(src, dst + row, m - 1, 2)
             elif shift_right:
                 zero[src] = 1
-                link(src + 1, dst, m - 1, 0)
+                link(src + row, dst, m - 1, 0)
             else:
                 link(src, dst, m, 1)
+    del g._index  # 4 bytes a vertex that classifying does not need
     return g
 
 
@@ -152,29 +236,15 @@ def classify_components(g: FlatGraph) -> OracleResult:
     vertex has two in- or out-edges, whatever they leave unvisited lies
     on a cycle.
     """
-    h, m = g.h, g.m
-    img, succ, weight, zero = g.img, g.succ, g.weight, g.zero
+    pairs = g.h * g.h
+    succ, weight, zero = g.succ, g.weight, g.zero
+    label, reps = g.label, g.reps
     # a second edge out of a vertex overwrote the first, and a second edge
     # into one set a flag already set: either way a count falls short
     if len(succ) - succ.count(-1) != g.edge_count:
         raise VerificationError("a vertex has two outgoing edges")
     if g.has_in.count(1) != g.edge_count:
         raise VerificationError("a vertex has two incoming edges")
-    # Orbit number of every pair index (i-1)*h + (j-1).  This repeats the
-    # job of ``pair_orbits`` on purpose: the oracle must not share it.
-    # The lexicographic scan meets every orbit first at its least pair.
-    label = [-1] * (h * h)
-    reps, sizes = [], []
-    for q in range(h * h):
-        if label[q] < 0:
-            a, b = divmod(q, h)
-            reps.append((a + 1, b + 1))
-            size = 0
-            while label[a * h + b] < 0:
-                label[a * h + b] = len(sizes)
-                size += 1
-                a, b = img[a], img[b]
-            sizes.append(size)
     free = [0] * len(reps)
     zeroed = [0] * len(reps)
     cycles: list[list[Cycle]] = [[] for _ in reps]
@@ -190,7 +260,7 @@ def classify_components(g: FlatGraph) -> OracleResult:
                 total += weight[u]
                 forced |= zero[u]
                 u = succ[u]
-            k = label[v // m]
+            k = label[v % pairs]
             if forced:  # the component collapses to 0
                 zeroed[k] += length
             elif u < 0:
@@ -200,7 +270,7 @@ def classify_components(g: FlatGraph) -> OracleResult:
             v = starts.find(0, v + 1)
     rows = tuple(
         OrbitRow(rep, size, f, z, tuple(cyc))
-        for rep, size, f, z, cyc in zip(reps, sizes, free, zeroed, cycles)
+        for rep, size, f, z, cyc in zip(reps, g.sizes, free, zeroed, cycles)
     )
     every = tuple(cyc for row in rows for cyc in row.cycles)
     return OracleResult(rows, sum(free), every, sum(cyc.weight for cyc in every))
@@ -232,11 +302,13 @@ def level_mismatch(
 
 def cross_check(p: Permutation, sig: Signature, max_level: int) -> VerificationMismatch | None:
     """Compare ``invariant_report`` with the graph oracle for m =
-    1..max_level by ``level_mismatch``.  Returns the first counterexample
-    instead of raising, None when every level agrees."""
+    1..max_level by ``level_mismatch``, classifying the truncations of one
+    level-max_level graph.  Returns the first counterexample instead of
+    raising, None when every level agrees."""
     report = invariant_report(p, sig, max_level)
+    g = build_gamma_graph(p, sig, max_level)
     for m in range(1, max_level + 1):
-        found = level_mismatch(report, oracle_components(p, sig, m), m)
+        found = level_mismatch(report, classify_components(g.truncated(m)), m)
         if found:
             return VerificationMismatch(p, sig.c, sig.d, m, *found)
     return None

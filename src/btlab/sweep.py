@@ -10,10 +10,11 @@ from .graph_oracle import VerificationMismatch, cross_check
 from .permutations import Permutation, Signature
 from .rng import SplitMix64
 
-#: A sweep checks levels 1..max_level of every case, and a case of degree
-#: h expands h^2 * m graph vertices at level m, so a sweep expands at most
-#: samples * max_h^2 * max_level * (max_level + 1) / 2.  Sweeps above this
-#: bound are refused: (2, 80, 60) expands up to 2.3e7, 1.6 s on a Xeon.
+#: A sweep checks levels 1..max_level of every case.  A case of degree h
+#: builds one graph of h^2 * max_level vertices and classifies its first
+#: h^2 * m at every level m, so a sweep classifies at most samples *
+#: max_h^2 * max_level * (max_level + 1) / 2 vertices.  Sweeps above this
+#: bound are refused: (2, 80, 60) classifies up to 2.3e7, 1.3 s on a Xeon.
 MAX_SWEEP_VERTICES = 1_000_000
 #: Each case also has a fixed cost of about 0.1 ms, which the vertex bound
 #: does not see when h is small: 10,000 cases at max_h = 2 take 1.0 s.

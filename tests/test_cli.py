@@ -15,7 +15,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses the command line itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -365,9 +368,15 @@ class TestArgumentErrors:
             (["verify", "--max-level", "0"], "verify max_level must be >= 1, got 0"),
             (["witt-check", "--p", "2", "--len", "0"], "length must be >= 1"),
             (["witt-eval", "--p", "2", "--len", "0", "--lhs", "1", "--rhs", "1"],
-             "--lhs has 1 components, expected 0"),
+             "--len must be >= 1, got 0"),
             (["invariants", "--c", "1", "--d", "1", "--perm", "(1 2)", "--p", "4"],
              "4 is not prime"),
+            (["oracle", "--c", "1", "--d", "1", "--perm", "(1 2)", "--level", "0"],
+             "--level must be >= 1, got 0"),
+            # argparse's own usage errors
+            (["invariants", "--c", "x", "--d", "1", "--perm", "2,1"],
+             "argument --c: invalid int value: 'x'"),
+            (["invariants", "--c", "2"], "the following arguments are required: --d, --perm"),
         ],
     )
     def test_refusal_is_one_error_line(self, capsys, argv, refusal):

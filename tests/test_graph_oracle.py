@@ -1,3 +1,4 @@
+from array import array
 from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import btlab.graph_oracle as graph_oracle
 import btlab.invariants as invariants
 from btlab.graph_oracle import (
     MAX_ORACLE_VERTICES,
@@ -181,19 +183,25 @@ class TestBuildGammaGraph:
         # d = 1: the fixed pair (1,2) lies in J_+, so its left side is
         # shifted; the fixed pair (2,1) lies in J_-, so its right side is
         g = build_gamma_graph(Permutation((1, 2)), Signature(1, 1), 2)
-        # vertex (i, j, r) sits at ((i-1)*2 + (j-1))*2 + r
-        assert [v for v, z in enumerate(g.zero) if z] == [2, 4]  # (1,2,0), (2,1,0)
+        # vertex (i, j, r) sits at r*4 + (i-1)*2 + (j-1)
+        assert [v for v, z in enumerate(g.zero) if z] == [1, 2]  # (1,2,0), (2,1,0)
         assert g.edges == [
-            (0, 0, 1), (1, 1, 1),  # (1,1,r) -> (1,1,r)
-            (2, 3, 2),  # (1,2,0) -> (1,2,1)
-            (5, 4, 0),  # (2,1,1) -> (2,1,0)
-            (6, 6, 1), (7, 7, 1),  # (2,2,r) -> (2,2,r)
+            (0, 0, 1),  # (1,1,0) -> (1,1,0)
+            (1, 5, 2),  # (1,2,0) -> (1,2,1)
+            (3, 3, 1),  # (2,2,0) -> (2,2,0)
+            (4, 4, 1),  # (1,1,1) -> (1,1,1)
+            (6, 2, 0),  # (2,1,1) -> (2,1,0)
+            (7, 7, 1),  # (2,2,1) -> (2,2,1)
         ]
         rows = classify_components(g).rows
         assert [(row.rep, row.size, row.free_paths, row.zeroed_vertices) for row in rows] == [
             ((1, 1), 1, 0, 0), ((1, 2), 1, 0, 2), ((2, 1), 1, 0, 2), ((2, 2), 1, 0, 0),
         ]
         assert rows[0].cycles == rows[3].cycles == (Cycle(1, 1), Cycle(1, 1))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8191, 8192, 8193, 3 * 8192 + 5, 100_003])
+    def test_index_array_counts_up(self, n):
+        assert graph_oracle._iota(n) == array("i", range(n))
 
     @given(epsilon_seqs)
     def test_level_one_degenerates_to_scalar_rules(self, e):
@@ -396,6 +404,74 @@ class TestPlantedBugs:
 
     def test_unplanted_code_passes(self):
         assert not caught_somewhere(max_h=4)
+
+
+class TestTruncation:
+    """``cross_check`` builds the level-M graph once and reads every level
+    m <= M as its truncation."""
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    def test_truncations_equal_direct_builds_on_all_of_s_h(self, h):
+        for images in permutations(range(1, h + 1)):
+            p = Permutation(images)
+            for d in range(h + 1):
+                sig = Signature(h - d, d)
+                direct = {m: build_gamma_graph(p, sig, m) for m in range(1, 5)}
+                for top in range(1, 5):
+                    g = build_gamma_graph(p, sig, top)
+                    for m in range(1, top + 1):
+                        t, want = g.truncated(m), direct[m]
+                        case = (images, d, top, m)
+                        assert (t.succ, t.has_in) == (want.succ, want.has_in), case
+                        assert (t.edges, t.edge_count) == (want.edges, want.edge_count), case
+                        assert t.zero[:len(t.succ)] == want.zero, case
+                        assert classify_components(t) == oracle_components(p, sig, m), case
+
+    def test_cross_check_builds_one_graph(self, monkeypatch):
+        levels = []
+        real = graph_oracle.build_gamma_graph
+
+        def build(p, sig, m):
+            levels.append(m)
+            return real(p, sig, m)
+
+        monkeypatch.setattr(graph_oracle, "build_gamma_graph", build)
+        assert cross_check(parse_permutation("(1 2 3 4)"), Signature(2, 2), 4) is None
+        assert levels == [4]
+
+    def test_truncation_without_the_row_cut_is_refused(self, monkeypatch):
+        real = FlatGraph.truncated
+
+        def prefix_only(g, m):
+            t = real(g, m)
+            n = len(t.succ)
+            t.succ, t.has_in = g.succ[:n], g.has_in[:n]  # undo the row m-1 cut
+            return t
+
+        monkeypatch.setattr(FlatGraph, "truncated", prefix_only)
+        with pytest.raises(VerificationError, match="two outgoing edges"):
+            cross_check(parse_permutation("(1 2 3 4)"), Signature(2, 2), 3)
+
+    def test_same_row_edges_left_in_row_m_minus_1_are_caught(self, monkeypatch):
+        # A truncation that drops only the edges leaving the first m rows,
+        # with in-flags and edge count made to match: the degree checks
+        # pass, and only the classification can see the J_+ edges of row
+        # m-1 that stay inside it.
+        real = FlatGraph.truncated
+
+        def drop_leaving_edges(g, m):
+            t = real(g, m)
+            n = len(t.succ)
+            t.succ = array("i", (u if u < n else -1 for u in g.succ[:n]))
+            t.has_in = bytearray(n)
+            for u in t.succ:
+                if u >= 0:
+                    t.has_in[u] = 1
+            t.edge_count = n - t.succ.count(-1)
+            return t
+
+        monkeypatch.setattr(FlatGraph, "truncated", drop_leaving_edges)
+        assert caught_somewhere(max_h=4)
 
 
 class TestCrossCheck:

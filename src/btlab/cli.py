@@ -123,6 +123,8 @@ def _report_table(doc: dict) -> str:
 
 
 def cmd_invariants(args) -> dict:
+    if args.max_level < 1:
+        raise InputError(f"--max-level must be >= 1, got {args.max_level}")
     if args.p is not None:
         check_prime(args.p)
     sig = _signature(args)
@@ -154,7 +156,7 @@ def cmd_oracle(args) -> dict:
         "exponent": result.exponent,
         "per_orbit": per_orbit,
     }
-    doc["verdict"] = "fail" if level_mismatch(report, result, level) else "pass"
+    doc["verdict"] = "fail" if level_mismatch(report, result, (level,)) else "pass"
     return doc
 
 
@@ -228,7 +230,13 @@ def cmd_kraft_type(args) -> dict:
     }
 
 
+def _check_len(args) -> None:
+    if args.len < 1:
+        raise InputError(f"--len must be >= 1, got {args.len}")
+
+
 def cmd_witt_polys(args) -> dict:
+    _check_len(args)
     p, n = args.p, args.len
     return {
         "p": p,
@@ -258,8 +266,7 @@ def _parse_components(text: str, p: int, n: int, flag: str) -> WittVec:
 
 
 def cmd_witt_eval(args) -> dict:
-    if args.len < 1:
-        raise InputError(f"--len must be >= 1, got {args.len}")
+    _check_len(args)
     x = _parse_components(args.lhs, args.p, args.len, "--lhs")
     y = _parse_components(args.rhs, args.p, args.len, "--rhs")
     return {
@@ -310,6 +317,7 @@ def cmd_witt_check(args) -> dict:
         raise InputError(
             f"--samples must be in 0..{MAX_WITT_SAMPLES}, got {args.samples}"
         )
+    _check_len(args)
     p, n = args.p, args.len
     table = ring_iso_table(p, n)
     rng = SplitMix64(args.seed)

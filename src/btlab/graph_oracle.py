@@ -29,16 +29,21 @@ shows up in ``cross_check``.
 
 The level-m system is the first m Witt components of the level-M one, so
 the level-m graph is the first m rows of the level-M graph (a prefix of
-the arrays) without the equations of row m.  Those touch row m-1 only:
-they give every pair of J_+ its out-edge there, and every pair of J_- its
-in-edge.  Zero flags (all in row 0) and weights do not depend on the
-level, so ``cross_check`` builds the level-M graph once and classifies
-each ``FlatGraph.truncated(m)``.
+the arrays) without the equations of row m.  Hence the out-edge of the
+vertex (i, j, r) exists from level r+1 on, or from level r+2 when (i, j)
+lies in J_+, and zero flags (all in row 0) and weights do not depend on
+the level.  ``classify_components`` walks the level-M graph once and
+gives each component the largest level of its edges: a cycle is a cycle of
+every level from its own on, and a level-m cycle is a level-M cycle, so
+the exponent at level m sums the weights of the cycles of level <= m.
+A level has as many paths as vertices less edges, h^2*m - E(m) with
+E(m) = E(M) - (M-m)*h^2, the same number at every level.  The zero flags
+lie on path ends, so with Z of them and J(m) paths joining two of them by
+level m, the dimension is free(m) = h^2*m - E(m) - (Z - J(m)).
 """
 
 from __future__ import annotations
 
-import copy
 import sys
 from array import array
 from typing import NamedTuple, Sequence
@@ -48,9 +53,10 @@ from .invariants import InvariantReport, invariant_report
 from .permutations import Permutation, Signature
 
 #: Largest number of graph vertices, h^2 * m at level m, that
-#: ``build_gamma_graph`` expands: 11 bytes a vertex while building and 8
-#: while classifying, so at the cap (a 50-cycle at level 400) 11 MB at the
-#: peak and 0.3 s to build and classify on a Xeon with Python 3.11.
+#: ``build_gamma_graph`` expands: 11 bytes a vertex while building and 12
+#: while classifying (the edge levels take 4), so at the cap (a 50-cycle at
+#: level 400) 12 MB at the peak and 0.3 s to build and classify on a Xeon
+#: with Python 3.11.
 MAX_ORACLE_VERTICES = 1_000_000
 
 
@@ -69,21 +75,31 @@ class VerificationMismatch(VerificationError):
         )
 
 
-def _iota(n: int) -> array:
-    """``array("i", range(n))``, ten times faster at a million entries.
-    After a first block from ``range``, every block is the first plus its
-    offset, added to all its lanes at once as one big integer; no lane
-    carries into the next, since every entry is below 2^31.  Blocks of 32
-    KB keep the scratch integers small."""
-    a = array("i", range(min(n, 1 << 13)))
+def _stepped(block: array, step: int, n: int) -> array:
+    """The first n entries of block, block + step, block + 2*step, ...
+    Every copy is the block plus its offset, added to all its lanes at
+    once as one big integer; no lane carries into the next, since every
+    entry is below 2^31."""
+    a = array("i", block[:n])
+    if len(a) == n:
+        return a
     order, size = sys.byteorder, a.itemsize
-    block = int.from_bytes(a, order)
-    ones = int.from_bytes((1).to_bytes(size, order) * len(a), order)
-    width = size * len(a)
+    base = int.from_bytes(block, order)
+    ones = int.from_bytes((1).to_bytes(size, order) * len(block), order)
+    width = size * len(block)
+    offset = 0
     while len(a) < n:
-        lanes = (block + len(a) * ones).to_bytes(width, order)
+        offset += step
+        lanes = (base + offset * ones).to_bytes(width, order)
         a.frombytes(lanes[:size * (n - len(a))])
     return a
+
+
+def _iota(n: int) -> array:
+    """``array("i", range(n))``, ten times faster at a million entries.
+    Blocks of 32 KB keep the scratch integers small."""
+    block = 1 << 13
+    return _stepped(array("i", range(min(n, block))), block, n)
 
 
 class FlatGraph:
@@ -91,7 +107,7 @@ class FlatGraph:
     r*h^2 + (i-1)*h + (j-1), with the (pi, pi) orbit of every pair.
 
     ``d`` places the points 1..d below the region boundary; only
-    ``truncated`` reads it.
+    ``edge_levels`` reads it.
     """
 
     def __init__(self, images: Sequence[int], m: int, d: int = 0):
@@ -134,33 +150,25 @@ class FlatGraph:
         self.weight[src:src + count * step:step] = bytes((weight,)) * count
         self.has_in[dst:dst + count * step:step] = b"\1" * count
 
-    def truncated(self, m: int) -> FlatGraph:
-        """The level-m graph for m <= self.m: the first m rows, without the
-        equations of Witt row m.  Those cut the out-edge of every pair of
-        J_+ in row m-1 and the in-edge of every pair of J_- there; every
-        other edge, weight and zero flag is the same at every level.
-
-        The copy shares ``img``, the orbit labels, ``weight`` and ``zero``
-        with this graph (the last two may be longer than ``succ``).
-        """
-        if m == self.m:
-            return self
-        h, d = self.h, self.d
-        n = h * h * m
-        t = copy.copy(self)
-        t.m = m
-        t.succ = self.succ[:n]
-        t.has_in = self.has_in[:n]
-        # a pair has m edges at level m, one fewer if a side is shifted
-        t.edge_count -= (self.m - m) * h * h
-        row = n - h * h
-        no_edge = array("i", [-1]) * (h - d)
-        for a in range(row, row + d * h, h):  # (i, j) with i <= d < j
-            t.succ[a + d:a + h] = no_edge
-        no_in = bytes(d)
-        for a in range(row + d * h, n, h):  # (i, j) with j <= d < i
-            t.has_in[a:a + d] = no_in
-        return t
+    def edge_levels(self) -> array:
+        """The level from which the out-edge of every vertex exists: r + 1
+        in row r, or r + 2 for the pairs of J_+ = {i <= d < j}.  Row m-1
+        reads m throughout: its J_+ vertices have no out-edge, and m spares
+        the walk a test.  The other vertices without an out-edge lie in row
+        0 outside J_+ and read 1, no more than any edge."""
+        h, d, m = self.h, self.d, self.m
+        pairs = h * h
+        first = array("i", [1]) * pairs
+        shifted = array("i", [2]) * (h - d)
+        for a in range(0, d * h, h):  # (i, j) with i <= d < j
+            first[a + d:a + h] = shifted
+        # one big-integer addition per row within a block of about 8192
+        # entries, then one per block
+        rows = max(1, (1 << 13) // pairs)
+        block = _stepped(first, 1, pairs * min(rows, m - 1))
+        levels = _stepped(block, rows, pairs * (m - 1))
+        levels.extend(array("i", [m]) * pairs)
+        return levels
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:
@@ -174,20 +182,32 @@ class Cycle(NamedTuple):
 
 
 class OrbitRow(NamedTuple):
-    """The components of one (pi, pi) orbit, keyed by its least pair."""
+    """The components of one (pi, pi) orbit at the graph's level, keyed by
+    its least pair."""
 
     rep: tuple[int, int]
     size: int
     free_paths: int
     zeroed_vertices: int
     cycles: tuple[Cycle, ...]
+    cycle_levels: tuple[int, ...]  # the level from which each cycle closes
 
 
 class OracleResult(NamedTuple):
     rows: tuple[OrbitRow, ...]  # orbits in order of their least pairs
-    free_paths: int  # the dimension
-    cycles: tuple[Cycle, ...]  # over all orbits; their weights sum to the exponent
-    exponent: int
+    cycles: tuple[Cycle, ...]  # over all orbits, at the graph's level
+    dimensions: tuple[int, ...]  # free paths at levels 1..M
+    exponents: tuple[int, ...]  # summed weight of the cycles closed by levels 1..M
+
+    @property
+    def free_paths(self) -> int:
+        """The dimension at level M."""
+        return self.dimensions[-1]
+
+    @property
+    def exponent(self) -> int:
+        """The exponent at level M."""
+        return self.exponents[-1]
 
 
 def build_gamma_graph(p: Permutation, sig: Signature, m: int) -> FlatGraph:
@@ -230,50 +250,89 @@ def build_gamma_graph(p: Permutation, sig: Signature, m: int) -> FlatGraph:
 
 
 def classify_components(g: FlatGraph) -> OracleResult:
-    """Free paths, zeroed vertices and cycles of ``g``, per (pi, pi) orbit.
+    """Free paths, zeroed vertices and cycles of ``g``, per (pi, pi) orbit,
+    and the dimension and exponent at every level up to ``g.m``.
 
     Paths are walked from the vertices without an in-edge; since no
     vertex has two in- or out-edges, whatever they leave unvisited lies
-    on a cycle.
+    on a cycle.  Each walk keeps the largest edge level it meets, which
+    the paths joining two zero flags and the cycles are credited to.
     """
-    pairs = g.h * g.h
-    succ, weight, zero = g.succ, g.weight, g.zero
+    pairs, top = g.h * g.h, g.m
+    succ, weight, zero, has_in = g.succ, g.weight, g.zero, g.has_in
     label, reps = g.label, g.reps
     # a second edge out of a vertex overwrote the first, and a second edge
     # into one set a flag already set: either way a count falls short
     if len(succ) - succ.count(-1) != g.edge_count:
         raise VerificationError("a vertex has two outgoing edges")
-    if g.has_in.count(1) != g.edge_count:
+    if has_in.count(1) != g.edge_count:
         raise VerificationError("a vertex has two incoming edges")
+    # free(m) below needs every zero flag in row 0, on a path end
+    if zero.find(1, pairs) >= 0:
+        raise VerificationError("a zero-forced vertex lies above row 0")
+    z = zero.find(1)
+    while z >= 0:
+        if has_in[z] and succ[z] >= 0:
+            raise VerificationError("a zero-forced vertex is not a path end")
+        z = zero.find(1, z + 1)
+    level = g.edge_levels()
     free = [0] * len(reps)
     zeroed = [0] * len(reps)
     cycles: list[list[Cycle]] = [[] for _ in reps]
-    seen = bytearray(len(succ))
-    for starts in (g.has_in, seen):
-        v = starts.find(0)
-        while v >= 0:
-            length = total = forced = 0
-            u = v
-            while u >= 0 and not seen[u]:
-                seen[u] = 1
-                length += 1
-                total += weight[u]
-                forced |= zero[u]
-                u = succ[u]
-            k = label[v % pairs]
-            if forced:  # the component collapses to 0
-                zeroed[k] += length
-            elif u < 0:
-                free[k] += 1
-            else:  # back at v
-                cycles[k].append(Cycle(length, total))
-            v = starts.find(0, v + 1)
+    closing: list[list[int]] = [[] for _ in reps]
+    joined = [0] * (top + 1)  # paths joining two zero flags, by level
+    gained = [0] * (top + 1)  # cycle weight, by level
+    seen = bytearray(len(succ) + 1)
+    seen[-1] = 1  # succ is -1 at a path end
+    v = has_in.find(0)
+    while v >= 0:
+        length = high = 0
+        u = v
+        while not seen[u]:
+            seen[u] = 1
+            length += 1
+            if level[u] > high:
+                high = level[u]
+            last = u
+            u = succ[u]
+        k = label[v % pairs]
+        if zero[v] or zero[last]:  # the path collapses to 0
+            zeroed[k] += length
+            if zero[v] and zero[last] and last != v:
+                joined[high] += 1
+        else:
+            free[k] += 1
+        v = has_in.find(0, v + 1)
+    v = seen.find(0)
+    while v >= 0:
+        length = total = high = 0
+        u = v
+        while not seen[u]:
+            seen[u] = 1
+            length += 1
+            total += weight[u]
+            if level[u] > high:
+                high = level[u]
+            u = succ[u]
+        if u != v:
+            raise VerificationError("a vertex flagged with an in-edge has none")
+        k = label[v % pairs]
+        cycles[k].append(Cycle(length, total))
+        closing[k].append(high)
+        gained[high] += total
+        v = seen.find(0, v + 1)
     rows = tuple(
-        OrbitRow(rep, size, f, z, tuple(cyc))
-        for rep, size, f, z, cyc in zip(reps, g.sizes, free, zeroed, cycles)
+        OrbitRow(rep, size, f, z, tuple(cyc), tuple(lev))
+        for rep, size, f, z, cyc, lev in zip(reps, g.sizes, free, zeroed, cycles, closing)
     )
+    paths = len(succ) - g.edge_count - zero.count(1)  # h^2*m - E(m) - Z at every m
+    dimensions, exponents = [], []
+    for m in range(1, top + 1):
+        paths += joined[m]
+        dimensions.append(paths)
+        exponents.append((exponents[-1] if exponents else 0) + gained[m])
     every = tuple(cyc for row in rows for cyc in row.cycles)
-    return OracleResult(rows, sum(free), every, sum(cyc.weight for cyc in every))
+    return OracleResult(rows, every, tuple(dimensions), tuple(exponents))
 
 
 def oracle_components(p: Permutation, sig: Signature, m: int) -> OracleResult:
@@ -282,33 +341,41 @@ def oracle_components(p: Permutation, sig: Signature, m: int) -> OracleResult:
 
 
 def level_mismatch(
-    report: InvariantReport, result: OracleResult, m: int
-) -> tuple[str, int, int] | None:
-    """The first disagreement at level m between ``report`` (an
-    ``invariant_report`` reaching m) and the oracle ``result``, as (kind,
-    formula value, oracle value): a cycle weight that is not the size of
-    its orbit, then the dimension against gamma(m), then the exponent
-    against c_m.  None when all three agree."""
-    for row in result.rows:
-        for cyc in row.cycles:
-            if cyc.weight != row.size:
-                return "cycle-weight", row.size, cyc.weight
-    if result.free_paths != report.gamma[m - 1]:
-        return "dimension", report.gamma[m - 1], result.free_paths
-    if result.exponent != report.c_exponent[m - 1]:
-        return "exponent", report.c_exponent[m - 1], result.exponent
+    report: InvariantReport, result: OracleResult, levels: Sequence[int]
+) -> tuple[int, str, int, int] | None:
+    """The first disagreement between ``report`` (an ``invariant_report``)
+    and the oracle ``result`` at the increasing ``levels``, which both
+    reach, as (m, kind, formula value, oracle value).  At each m: a cycle
+    closed by level m whose weight is not the size of its orbit, then the
+    dimension against gamma(m), then the exponent against c_m.  None when
+    every level agrees."""
+    # the first of the bad cycles that close earliest
+    bad = min(
+        (
+            (level, row.size, cyc.weight)
+            for row in result.rows
+            for cyc, level in zip(row.cycles, row.cycle_levels)
+            if cyc.weight != row.size
+        ),
+        key=lambda found: found[0],
+        default=None,
+    )
+    for m in levels:
+        if bad and bad[0] <= m:
+            return m, "cycle-weight", bad[1], bad[2]
+        if result.dimensions[m - 1] != report.gamma[m - 1]:
+            return m, "dimension", report.gamma[m - 1], result.dimensions[m - 1]
+        if result.exponents[m - 1] != report.c_exponent[m - 1]:
+            return m, "exponent", report.c_exponent[m - 1], result.exponents[m - 1]
     return None
 
 
 def cross_check(p: Permutation, sig: Signature, max_level: int) -> VerificationMismatch | None:
     """Compare ``invariant_report`` with the graph oracle for m =
-    1..max_level by ``level_mismatch``, classifying the truncations of one
-    level-max_level graph.  Returns the first counterexample instead of
-    raising, None when every level agrees."""
+    1..max_level by ``level_mismatch``, reading every level from one
+    classification of the level-max_level graph.  Returns the first
+    counterexample instead of raising, None when every level agrees."""
     report = invariant_report(p, sig, max_level)
-    g = build_gamma_graph(p, sig, max_level)
-    for m in range(1, max_level + 1):
-        found = level_mismatch(report, classify_components(g.truncated(m)), m)
-        if found:
-            return VerificationMismatch(p, sig.c, sig.d, m, *found)
-    return None
+    result = classify_components(build_gamma_graph(p, sig, max_level))
+    found = level_mismatch(report, result, range(1, max_level + 1))
+    return VerificationMismatch(p, sig.c, sig.d, *found) if found else None

@@ -11,10 +11,12 @@ from .permutations import Permutation, Signature
 from .rng import SplitMix64
 
 #: A sweep checks levels 1..max_level of every case.  A case of degree h
-#: builds one graph of h^2 * max_level vertices and classifies its first
-#: h^2 * m at every level m, so a sweep classifies at most samples *
-#: max_h^2 * max_level * (max_level + 1) / 2 vertices.  Sweeps above this
-#: bound are refused: (2, 80, 60) classifies up to 2.3e7, 1.3 s on a Xeon.
+#: builds one graph of h^2 * max_level vertices and reads every level from
+#: one walk of it.  The bound prices each level as a walk of its own, at
+#: samples * max_h^2 * max_level * (max_level + 1) / 2 vertices, more than
+#: a sweep walks, so that the sweeps it has always refused stay refused:
+#: (2, 80, 60) prices at 2.3e7, while two cases of h = 80 at level 60 take
+#: 0.25 s on a Xeon with Python 3.11.
 MAX_SWEEP_VERTICES = 1_000_000
 #: Each case also has a fixed cost of about 0.1 ms, which the vertex bound
 #: does not see when h is small: 10,000 cases at max_h = 2 take 1.0 s.

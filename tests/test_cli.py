@@ -366,7 +366,7 @@ class TestArgumentErrors:
             (["verify", "--samples", "0"], "verify samples must be >= 1, got 0"),
             (["verify", "--max-h", "1"], "verify max_h must be >= 2, got 1"),
             (["verify", "--max-level", "0"], "verify max_level must be >= 1, got 0"),
-            (["witt-check", "--p", "2", "--len", "0"], "length must be >= 1"),
+            (["witt-check", "--p", "2", "--len", "0"], "--len must be >= 1, got 0"),
             (["witt-eval", "--p", "2", "--len", "0", "--lhs", "1", "--rhs", "1"],
              "--len must be >= 1, got 0"),
             (["invariants", "--c", "1", "--d", "1", "--perm", "(1 2)", "--p", "4"],
@@ -377,6 +377,9 @@ class TestArgumentErrors:
             (["invariants", "--c", "x", "--d", "1", "--perm", "2,1"],
              "argument --c: invalid int value: 'x'"),
             (["invariants", "--c", "2"], "the following arguments are required: --d, --perm"),
+            (["witt-polys", "--p", "2", "--len", "0"], "--len must be >= 1, got 0"),
+            (["invariants", "--c", "1", "--d", "1", "--perm", "(1 2)", "--max-level", "0"],
+             "--max-level must be >= 1, got 0"),
         ],
     )
     def test_refusal_is_one_error_line(self, capsys, argv, refusal):

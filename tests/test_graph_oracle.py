@@ -1,3 +1,4 @@
+import copy
 from array import array
 from dataclasses import dataclass
 from itertools import permutations
@@ -22,6 +23,7 @@ from btlab.graph_oracle import (
 from btlab.errors import InputError, VerificationError
 from btlab.invariants import gamma, invariant_report, orbit_profiles
 from btlab.permutations import Permutation, Signature, parse_permutation
+from btlab.sweep import random_cases
 
 epsilon_seqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=10).map(tuple)
 levels = st.integers(1, 5)
@@ -406,9 +408,37 @@ class TestPlantedBugs:
         assert not caught_somewhere(max_h=4)
 
 
+def reference_truncated(g, m):
+    """The level-m graph for m <= g.m, cut from the level-M graph ``g``:
+    the first m rows, without the equations of Witt row m.  Those cut the
+    out-edge of every pair of J_+ in row m-1 and the in-edge of every pair
+    of J_- there; every other edge, weight and zero flag is the same at
+    every level.  The copy shares ``weight`` (longer than ``succ``) and
+    the orbit labels with ``g``."""
+    h, d = g.h, g.d
+    n = h * h * m
+    t = copy.copy(g)
+    t.m = m
+    t.succ, t.has_in = g.succ[:n], g.has_in[:n]
+    t.zero = g.zero[:n]
+    # a pair has m edges at level m, one fewer if a side is shifted
+    t.edge_count -= (g.m - m) * h * h
+    row = n - h * h
+    for a in range(row, row + d * h, h):  # (i, j) with i <= d < j
+        t.succ[a + d:a + h] = array("i", [-1]) * (h - d)
+    for a in range(row + d * h, n, h):  # (i, j) with j <= d < i
+        t.has_in[a:a + d] = bytes(d)
+    return t
+
+
+def closed_by(row, m):
+    return tuple(cyc for cyc, level in zip(row.cycles, row.cycle_levels) if level <= m)
+
+
 class TestTruncation:
-    """``cross_check`` builds the level-M graph once and reads every level
-    m <= M as its truncation."""
+    """``cross_check`` classifies the level-M graph once and reads every
+    level m <= M from that one walk; ``reference_truncated`` cuts the
+    level-m graph out of it to check each level on its own."""
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_truncations_equal_direct_builds_on_all_of_s_h(self, h):
@@ -419,13 +449,20 @@ class TestTruncation:
                 direct = {m: build_gamma_graph(p, sig, m) for m in range(1, 5)}
                 for top in range(1, 5):
                     g = build_gamma_graph(p, sig, top)
+                    walked = classify_components(g)
                     for m in range(1, top + 1):
-                        t, want = g.truncated(m), direct[m]
+                        t, want = reference_truncated(g, m), direct[m]
                         case = (images, d, top, m)
                         assert (t.succ, t.has_in) == (want.succ, want.has_in), case
                         assert (t.edges, t.edge_count) == (want.edges, want.edge_count), case
-                        assert t.zero[:len(t.succ)] == want.zero, case
-                        assert classify_components(t) == oracle_components(p, sig, m), case
+                        assert t.zero == want.zero, case
+                        at_m = classify_components(t)
+                        assert at_m == oracle_components(p, sig, m), case
+                        assert walked.dimensions[m - 1] == at_m.free_paths, case
+                        assert walked.exponents[m - 1] == at_m.exponent, case
+                        assert [closed_by(row, m) for row in walked.rows] == [
+                            row.cycles for row in at_m.rows
+                        ], case
 
     def test_cross_check_builds_one_graph(self, monkeypatch):
         levels = []
@@ -439,39 +476,65 @@ class TestTruncation:
         assert cross_check(parse_permutation("(1 2 3 4)"), Signature(2, 2), 4) is None
         assert levels == [4]
 
-    def test_truncation_without_the_row_cut_is_refused(self, monkeypatch):
-        real = FlatGraph.truncated
+    def test_cross_check_classifies_once(self, monkeypatch):
+        levels = []
+        real = graph_oracle.classify_components
 
-        def prefix_only(g, m):
-            t = real(g, m)
-            n = len(t.succ)
-            t.succ, t.has_in = g.succ[:n], g.has_in[:n]  # undo the row m-1 cut
-            return t
+        def classify(g):
+            levels.append(g.m)
+            return real(g)
 
-        monkeypatch.setattr(FlatGraph, "truncated", prefix_only)
-        with pytest.raises(VerificationError, match="two outgoing edges"):
-            cross_check(parse_permutation("(1 2 3 4)"), Signature(2, 2), 3)
+        monkeypatch.setattr(graph_oracle, "classify_components", classify)
+        for case, (p, sig) in enumerate(random_cases(20, 6, seed=3), start=1):
+            assert cross_check(p, sig, 4) is None
+            assert levels == [4] * case
 
-    def test_same_row_edges_left_in_row_m_minus_1_are_caught(self, monkeypatch):
-        # A truncation that drops only the edges leaving the first m rows,
-        # with in-flags and edge count made to match: the degree checks
-        # pass, and only the classification can see the J_+ edges of row
-        # m-1 that stay inside it.
-        real = FlatGraph.truncated
+    def test_edge_levels_without_the_j_plus_shift_are_caught(self, monkeypatch):
+        # every out-edge of row r at level r + 1, as if no pair were in J_+
+        def unshifted(g):
+            pairs = g.h * g.h
+            return array("i", (min(u // pairs + 1, g.m) for u in range(len(g.succ))))
 
-        def drop_leaving_edges(g, m):
-            t = real(g, m)
-            n = len(t.succ)
-            t.succ = array("i", (u if u < n else -1 for u in g.succ[:n]))
-            t.has_in = bytearray(n)
-            for u in t.succ:
-                if u >= 0:
-                    t.has_in[u] = 1
-            t.edge_count = n - t.succ.count(-1)
-            return t
-
-        monkeypatch.setattr(FlatGraph, "truncated", drop_leaving_edges)
+        monkeypatch.setattr(FlatGraph, "edge_levels", unshifted)
         assert caught_somewhere(max_h=4)
+
+    def test_j_plus_same_row_edges_one_level_early_are_caught(self, monkeypatch):
+        # Only the edges of J_+ pairs whose image lies in J_- (both sides
+        # shifted, so the edge stays in its row) come one level early; the
+        # degree checks and the level-M classification cannot see it.
+        real = FlatGraph.edge_levels
+
+        def early(g):
+            levels = real(g)
+            pairs = g.h * g.h
+            for u, t in enumerate(g.succ):
+                if t >= 0 and t // pairs == u // pairs and levels[u] == u // pairs + 2:
+                    levels[u] -= 1
+            return levels
+
+        monkeypatch.setattr(FlatGraph, "edge_levels", early)
+        assert caught_somewhere(max_h=4)
+
+    def test_zero_flags_off_path_ends_are_refused(self):
+        g = build_gamma_graph(parse_permutation("(1 2 3 4)"), Signature(2, 2), 3)
+        inner = next(u for u in range(16) if g.has_in[u] and g.succ[u] >= 0)  # in row 0
+        middle = copy.copy(g)
+        middle.zero = bytearray(g.zero)
+        middle.zero[inner] = 1
+        with pytest.raises(VerificationError, match="a zero-forced vertex is not a path end"):
+            classify_components(middle)
+        above = copy.copy(g)
+        above.zero = bytearray(g.zero)
+        above.zero[16] = 1  # (1,1,1)
+        with pytest.raises(VerificationError, match="a zero-forced vertex lies above row 0"):
+            classify_components(above)
+
+    def test_in_flag_without_an_in_edge_is_refused(self):
+        g = FlatGraph((1, 2), 1)
+        g.link(0, 1, 1, 1)
+        g.has_in[0], g.has_in[1] = 1, 0  # the counts still match
+        with pytest.raises(VerificationError, match="flagged with an in-edge has none"):
+            classify_components(g)
 
 
 class TestCrossCheck:

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 
+from . import witt
 from .errors import InputError, VerificationError
 from .graph_oracle import level_mismatch, oracle_components
 from .invariants import InvariantReport, invariant_report, level_histogram
@@ -28,6 +29,7 @@ from .witt import (
     WittVec,
     check_prime,
     frobenius,
+    law_apply,
     negation_polynomials,
     p_multiple,
     product_polynomials,
@@ -293,23 +295,27 @@ def _random_vec(rng: SplitMix64, p: int, n: int) -> WittVec:
     return WittVec(p, tuple(rng.below(p) for _ in range(n)))
 
 
-#: witt-check draws two vectors per identity sample, evaluates the product
-#: law three times on them and the sum law up to 2*log2(p) times: 10,000
-#: samples add 0.4 s at (2,2), 1.3 s at (2,6), 0.7 s at (7,2) and 0.6 s at
-#: (97,1) to the ring table on a Xeon with Python 3.11.
+#: witt-check draws two vectors per identity sample, multiplies twice in
+#: Z/p^n and evaluates the sum law up to 2*log2(p) times: 10,000 samples
+#: add 0.5 s at (2,2), 0.7 s at (2,6), 0.7 s at (7,2) and 0.5 s at (97,1)
+#: to the ring table on a Xeon with Python 3.11.
 MAX_WITT_SAMPLES = 10_000
 
 
 def _p_fold_sum(x: WittVec) -> WittVec:
-    """p*x as a p-fold Witt sum, by double-and-add over ``witt_add``.
-    ``p_multiple`` applies the same componentwise rule as F(V(x)) and
-    V(F(x)), so only this route lets those identities test the sum law."""
-    acc = x
-    for bit in bin(x.p)[3:]:
-        acc = witt_add(acc, acc)
+    """p*x as a p-fold Witt sum, by double-and-add over the sum law
+    (``law_apply``), read from ``witt`` at call time.  ``p_multiple``
+    applies the same componentwise rule as F(V(x)) and V(F(x)), and
+    ``witt_add`` goes through Z/p^n, so only this route lets those
+    identities test the sum law."""
+    p = x.p
+    laws = witt.sum_polynomials(p, x.n)
+    acc = x.components
+    for bit in bin(p)[3:]:
+        acc = law_apply(laws, acc, acc, p)
         if bit == "1":
-            acc = witt_add(acc, x)
-    return acc
+            acc = law_apply(laws, acc, x.components, p)
+    return WittVec(p, acc)
 
 
 def cmd_witt_check(args) -> dict:

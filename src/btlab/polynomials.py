@@ -278,7 +278,8 @@ class Poly:
         The first call for a given p caches this polynomial as a function
         on F_p^k: coefficients mod p, and each exponent e >= 1 replaced by
         ((e - 1) mod (p - 1)) + 1, which is exact because a^p = a on F_p.
-        Monomials that coincide are merged and zero terms dropped.
+        Monomials that coincide are merged and zero terms dropped.  A term
+        stops at its first factor whose value is 0.
         """
         cached = self._eval_cache.get(p)
         if cached is None:
@@ -287,8 +288,12 @@ class Poly:
         for c, factors in cached:
             term = c
             for i, e in factors:
-                term *= values[i] if e == 1 else pow(values[i], e, p)
-            total += term
+                v = values[i]
+                if not v:
+                    break
+                term *= v if e == 1 else pow(v, e, p)
+            else:
+                total += term
         return total % p
 
     def _reduced_terms(self, p: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:

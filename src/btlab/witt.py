@@ -14,17 +14,26 @@ and have integer coefficients even though each recursion step divides by
 p^l.  We solve the recursions with exact integer arithmetic and assert
 the divisibility instead of assuming it.
 
-Vector arithmetic is over F_p (truncated length n): evaluate the laws
-componentwise.  Frobenius, Verschiebung, multiplication by p and the
-Teichmueller lift act by the componentwise rules
+Vector arithmetic over F_p (truncated length n) goes through Z/p^n:
+
+    x -> sum p^i * tau(x_i),   tau(a) = a^(p^(n-1)) mod p^n,
+
+is a ring isomorphism W_n(F_p) -> Z/p^n (tau(a) is the Teichmueller
+representative of a), so witt_add, witt_mul and witt_neg add, multiply
+or negate residues and peel the digits back off: a = z mod p, then
+z <- (z - tau(a)) / p.  The laws are kept as the reference that this
+route is checked against: law_apply evaluates them componentwise, and
+it is the only place they are evaluated; ring_iso_table and the p-fold
+sum of `witt-check` use it.  Frobenius, Verschiebung, multiplication by
+p and the Teichmueller lift act by the componentwise rules
 
     F(x_0, x_1, ...) = (x_0^p, x_1^p, ...)
     V(x_0, x_1, ...) = (0, x_0, x_1, ...)      (top component dropped)
     p(x_0, x_1, ...) = (0, x_0^p, x_1^p, ...)  (top component dropped)
     tau(a) = (a, 0, ..., 0)
 
-and W_n(F_p) is isomorphic to Z/p^n, which ring_iso_table verifies by
-building the full addition and multiplication tables.
+and ring_iso_table checks the isomorphism with Z/p^n by building the
+full addition and multiplication tables from the laws.
 """
 
 from __future__ import annotations
@@ -115,8 +124,10 @@ def _law_monomials(p: int, n: int) -> int:
     return ways[weight]
 
 
+@lru_cache(maxsize=None)
 def _check_law(p: int, n: int) -> None:
-    """Validate (p, n) before any law of that length is built."""
+    """Validate (p, n) before any law of that length is built or any
+    vector of that length is sent through Z/p^n."""
     check_prime(p)
     if n < 1:
         raise InputError("length must be >= 1")
@@ -149,22 +160,6 @@ def _ghost_of_vars(ring: PolyRing, p: int, l: int, offset: int) -> Poly:
     acc = ring.zero()
     for i in range(l + 1):
         acc = acc + ring.var(offset + i, exponent=p ** (l - i), coeff=p**i)
-    return acc
-
-
-def ghost_polynomial(p: int, l: int) -> Poly:
-    """The l-th ghost polynomial in variables x_0..x_l."""
-    check_prime(p)
-    if l < 0:
-        raise ValueError("ghost index must be >= 0")
-    return _ghost_of_vars(_x_ring(p, l + 1), p, l, 0)
-
-
-def ghost_apply(polys: tuple[Poly, ...], p: int, l: int) -> Poly:
-    """w_l evaluated on a vector of polynomials: sum p^i * polys[i]^(p^(l-i))."""
-    acc = polys[0].ring.zero()
-    for i in range(l + 1):
-        acc = acc + (polys[i] ** (p ** (l - i))).scale(p**i)
     return acc
 
 
@@ -243,23 +238,50 @@ def _match(x: WittVec, y: WittVec) -> None:
         raise InputError(f"length {x.n} vs {y.n}")
 
 
+def _residue(x: WittVec) -> int:
+    """The image of x in Z/p^n: sum p^i * tau(x_i), not reduced mod p^n."""
+    p, n = x.p, x.n
+    _check_law(p, n)
+    q, e = p**n, p ** (n - 1)
+    return sum(p**i * pow(a, e, q) for i, a in enumerate(x.components))
+
+
+def _vector(z: int, p: int, n: int) -> WittVec:
+    """The vector whose image in Z/p^n is z mod p^n, peeled one digit at a
+    time: a = z mod p, then z <- (z - tau(a)) / p, which is exact because
+    tau(a) = a mod p."""
+    q, e = p**n, p ** (n - 1)
+    digits = []
+    for _ in range(n):
+        a = z % p
+        digits.append(a)
+        z = (z - pow(a, e, q)) // p
+    return WittVec(p, tuple(digits))
+
+
 def witt_add(x: WittVec, y: WittVec) -> WittVec:
     _match(x, y)
-    laws = sum_polynomials(x.p, x.n)
-    values = x.components + y.components
-    return WittVec(x.p, tuple(s.eval_mod(values, x.p) for s in laws))
+    return _vector(_residue(x) + _residue(y), x.p, x.n)
 
 
 def witt_mul(x: WittVec, y: WittVec) -> WittVec:
     _match(x, y)
-    laws = product_polynomials(x.p, x.n)
-    values = x.components + y.components
-    return WittVec(x.p, tuple(s.eval_mod(values, x.p) for s in laws))
+    return _vector(_residue(x) * _residue(y), x.p, x.n)
 
 
 def witt_neg(x: WittVec) -> WittVec:
-    laws = negation_polynomials(x.p, x.n)
-    return WittVec(x.p, tuple(s.eval_mod(x.components, x.p) for s in laws))
+    return _vector(-_residue(x), x.p, x.n)
+
+
+def law_apply(
+    laws: tuple[Poly, ...], x: tuple[int, ...], y: tuple[int, ...], p: int
+) -> tuple[int, ...]:
+    """The laws evaluated at (x, y) over F_p, one component per law; y is
+    () for the negation laws.  The only evaluation of the laws, so a
+    caller that reads them from this module at call time tests whatever
+    law is bound there."""
+    values = x + y
+    return tuple(law.eval_mod(values, p) for law in laws)
 
 
 def frobenius(x: WittVec) -> WittVec:
@@ -291,7 +313,8 @@ def ring_iso_table(p: int, n: int) -> RingIsoReport:
     """Check W_n(F_p) = Z/p^n via the full addition/multiplication tables.
 
     The witness map sends m to the m-fold Witt sum of tau(1); it must be
-    a bijection onto all p^n vectors and transport both ring tables.
+    a bijection onto all p^n vectors and transport both ring tables.  Every
+    sum and product here evaluates the laws (law_apply), on plain tuples.
     """
     check_prime(p)
     if n < 1:
@@ -302,17 +325,18 @@ def ring_iso_table(p: int, n: int) -> RingIsoReport:
             f"the ring table must be at most {MAX_TABLE_PAIRS} pairs of vectors, "
             f"p={p}, n={n} has more"
         )
-    one = teichmuller(1, p, n)
-    vec_of = [WittVec(p, (0,) * n)]
+    add, mul = sum_polynomials(p, n), product_polynomials(p, n)
+    one = (1,) + (0,) * (n - 1)
+    vec_of = [(0,) * n]
     for _ in range(size - 1):
-        vec_of.append(witt_add(vec_of[-1], one))
+        vec_of.append(law_apply(add, vec_of[-1], one, p))
     if len(set(vec_of)) != size:
         return RingIsoReport(p, n, size, False, "m -> m*tau(1) is not injective")
-    for a in range(size):
-        for b in range(size):
-            if witt_add(vec_of[a], vec_of[b]) != vec_of[(a + b) % size]:
+    for a, x in enumerate(vec_of):
+        for b, y in enumerate(vec_of):
+            if law_apply(add, x, y, p) != vec_of[(a + b) % size]:
                 return RingIsoReport(p, n, size, False, f"addition table fails at ({a},{b})")
-            if witt_mul(vec_of[a], vec_of[b]) != vec_of[a * b % size]:
+            if law_apply(mul, x, y, p) != vec_of[a * b % size]:
                 return RingIsoReport(
                     p, n, size, False, f"multiplication table fails at ({a},{b})"
                 )

@@ -14,9 +14,9 @@ from btlab.polynomials import Poly
 from btlab.rng import SplitMix64
 from btlab.witt import (
     WittVec,
+    check_prime,
     frobenius,
-    ghost_apply,
-    ghost_polynomial,
+    law_apply,
     negation_polynomials,
     p_multiple,
     product_polynomials,
@@ -41,17 +41,33 @@ def witt_vecs(p, n):
 # -- ghost and law polynomials -------------------------------------------------
 
 
+def reference_ghost_polynomial(p, l):
+    """The l-th ghost polynomial in variables x_0..x_l."""
+    check_prime(p)
+    if l < 0:
+        raise ValueError("ghost index must be >= 0")
+    return witt._ghost_of_vars(witt._x_ring(p, l + 1), p, l, 0)
+
+
+def reference_ghost_apply(polys, p, l):
+    """w_l evaluated on a vector of polynomials: sum p^i * polys[i]^(p^(l-i))."""
+    acc = polys[0].ring.zero()
+    for i in range(l + 1):
+        acc = acc + (polys[i] ** (p ** (l - i))).scale(p**i)
+    return acc
+
+
 class TestGhost:
     def test_level_zero(self):
-        g = ghost_polynomial(2, 0)
+        g = reference_ghost_polynomial(2, 0)
         assert g == g.ring.var(0)
 
     def test_level_one(self):
-        g = ghost_polynomial(2, 1)
+        g = reference_ghost_polynomial(2, 1)
         assert g == g.ring.var(0, exponent=2) + g.ring.var(1).scale(2)
 
     def test_level_two_p3(self):
-        g = ghost_polynomial(3, 2)
+        g = reference_ghost_polynomial(3, 2)
         ring = g.ring
         assert g == (
             ring.var(0, exponent=9)
@@ -61,16 +77,17 @@ class TestGhost:
 
     def test_rejects_composite(self):
         with pytest.raises(InputError, match="^6 is not prime$"):
-            ghost_polynomial(6, 1)
+            reference_ghost_polynomial(6, 1)
 
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 3)])
     def test_matches_the_ghost_of_the_law_recursion(self, p, n):
         # sum_polynomials builds w_l(x) and w_l(y) in the ring of x and y
         ring = witt._xy_ring(p, n)
         for l in range(n):
-            assert ghost_polynomial(p, l).render() == witt._ghost_of_vars(ring, p, l, 0).render()
+            x_ghost = witt._ghost_of_vars(ring, p, l, 0).render()
+            assert reference_ghost_polynomial(p, l).render() == x_ghost
             y_ghost = witt._ghost_of_vars(ring, p, l, n).render()
-            assert y_ghost == ghost_polynomial(p, l).render().replace("x_", "y_")
+            assert y_ghost == reference_ghost_polynomial(p, l).render().replace("x_", "y_")
 
 
 def closed_form_s1(p):
@@ -121,7 +138,7 @@ class TestGhostCompatibility:
         laws = sum_polynomials(p, n)
         ring = laws[0].ring
         for l in range(n):
-            lhs = ghost_apply(laws, p, l)
+            lhs = reference_ghost_apply(laws, p, l)
             rhs = ring.zero()
             for i in range(l + 1):
                 rhs = rhs + ring.var(i, exponent=p ** (l - i), coeff=p**i)
@@ -138,7 +155,7 @@ class TestGhostCompatibility:
             for i in range(l + 1):
                 gx = gx + ring.var(i, exponent=p ** (l - i), coeff=p**i)
                 gy = gy + ring.var(n + i, exponent=p ** (l - i), coeff=p**i)
-            assert ghost_apply(laws, p, l) == gx * gy
+            assert reference_ghost_apply(laws, p, l) == gx * gy
 
     @pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
     def test_negation_law(self, p, n):
@@ -148,7 +165,7 @@ class TestGhostCompatibility:
             gx = ring.zero()
             for i in range(l + 1):
                 gx = gx + ring.var(i, exponent=p ** (l - i), coeff=p**i)
-            assert ghost_apply(laws, p, l) == -gx
+            assert reference_ghost_apply(laws, p, l) == -gx
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 2)])
@@ -294,15 +311,19 @@ class TestOperatorIdentities:
         assert witt_mul(x, witt_add(y, z)) == witt_add(witt_mul(x, y), witt_mul(x, z))
 
 
-def corrupt_top_sum_law(monkeypatch):
-    """Raise one coefficient of the top sum law of (2, 3) by 1.  The law is
-    then a different function on F_p, so a check that really evaluates
-    the polynomial laws must notice."""
-    laws = sum_polynomials(2, 3)
+def corrupt_top_law(monkeypatch, build):
+    """Raise one coefficient of the top law of (2, 3) that ``build`` makes
+    by 1.  The law is then a different function on F_p, so a check that
+    really evaluates the polynomial laws must notice."""
+    laws = build(2, 3)
     top = laws[-1]
     key = next(iter(top.terms))
     corrupted = Poly(top.ring, {**top.terms, key: top.terms[key] + 1})
-    monkeypatch.setattr(witt, "sum_polynomials", lambda p, n: laws[:-1] + (corrupted,))
+    monkeypatch.setattr(witt, build.__name__, lambda p, n: laws[:-1] + (corrupted,))
+
+
+def corrupt_top_sum_law(monkeypatch):
+    corrupt_top_law(monkeypatch, sum_polynomials)
 
 
 class TestRingIsoTable:
@@ -344,6 +365,118 @@ class TestRingIsoTable:
         assert code == 1
         assert doc["identity_failures"]
         assert all("!= p*x" in msg for msg in doc["identity_failures"])
+
+    def test_corrupted_product_law_fails_the_table(self, monkeypatch, capsys):
+        corrupt_top_law(monkeypatch, product_polynomials)
+        report = ring_iso_table(2, 3)
+        assert not report.passed
+        assert report.failure.startswith("multiplication table fails at (")
+        code = main(["witt-check", "--p", "2", "--len", "3", "--samples", "20",
+                     "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert doc["ring_table"].startswith("fail: multiplication table fails")
+
+
+# -- vector arithmetic through Z/p^n against the laws ----------------------------
+
+
+def prime_at_most(n):
+    while not witt._is_prime(n):
+        n -= 1
+    return n
+
+
+def law_route(x, y):
+    """Sum, product and negation by evaluating the polynomial laws."""
+    p, n = x.p, x.n
+    return (
+        law_apply(sum_polynomials(p, n), x.components, y.components, p),
+        law_apply(product_polynomials(p, n), x.components, y.components, p),
+        law_apply(negation_polynomials(p, n), x.components, (), p),
+    )
+
+
+def residue_route(x, y):
+    return (witt_add(x, y).components, witt_mul(x, y).components, witt_neg(x).components)
+
+
+# every length the laws build in well under a second
+CROSS_ROUTE_SIZES = (
+    [(2, n) for n in range(2, 7)] + [(3, n) for n in range(2, 5)]
+    + [(5, 2), (5, 3), (7, 2), (7, 3), (11, 3), (13, 3)]
+)
+
+
+def sizes_up_to(bound):
+    """Every (p, n), n >= 1, with p^n <= bound."""
+    return [(p, n) for p in range(2, bound + 1) if witt._is_prime(p)
+            for n in range(1, bound.bit_length()) if p**n <= bound]
+
+
+def admitted(p, n):
+    try:
+        witt._check_law(p, n)
+    except InputError:
+        return False
+    return True
+
+
+class TestResidueRoute:
+    @pytest.mark.parametrize("p,n", CROSS_ROUTE_SIZES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_laws(self, p, n, data):
+        x, y = data.draw(witt_vecs(p, n)), data.draw(witt_vecs(p, n))
+        assert residue_route(x, y) == law_route(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(2, 2**64 - 1).map(prime_at_most), data=st.data())
+    def test_matches_the_laws_at_length_one(self, p, data):
+        x, y = data.draw(witt_vecs(p, 1)), data.draw(witt_vecs(p, 1))
+        assert residue_route(x, y) == law_route(x, y)
+
+    def test_matches_the_laws_on_every_pair(self):
+        sizes = sizes_up_to(100)
+        assert (2, 6) in sizes and (3, 4) in sizes and (97, 1) in sizes
+        for p, n in sizes:
+            vectors = [WittVec(p, c) for c in itertools.product(range(p), repeat=n)]
+            for x in vectors:
+                for y in vectors:
+                    assert residue_route(x, y) == law_route(x, y), (x, y)
+
+    def test_conversion_round_trips_on_all_of_z_mod_p_to_the_n(self):
+        # every size the guard admits with p^n <= 10^4 (the conversion is
+        # refused with the laws, so larger lengths never reach it), except
+        # n = 1 above p = 1000: there tau is a -> a, and the 1,229 primes
+        # below 10^4 alone would take half a minute
+        sizes = [(p, n) for p, n in sizes_up_to(10_000)
+                 if admitted(p, n) and (n > 1 or p < 1000)]
+        assert (17, 3) in sizes and (3, 5) in sizes and (5, 4) in sizes and (997, 1) in sizes
+        for p, n in sizes:
+            q = p**n
+            for z in range(q):
+                x = witt._vector(z, p, n)
+                assert witt._residue(x) % q == z, (p, n, z)
+
+    def test_witt_eval_builds_no_law(self, monkeypatch, capsys):
+        def refuse(p, n):
+            raise AssertionError("a law was built")
+
+        for name in ("sum_polynomials", "product_polynomials", "negation_polynomials"):
+            monkeypatch.setattr(witt, name, refuse)
+        argv = ["witt-eval", "--p", "3", "--len", "3", "--lhs", "1,2,0", "--rhs", "2,2,1"]
+        for fmt, ext in (([], "txt"), (["--format", "json"], "json")):
+            assert main(argv + fmt) == 0
+            out = capsys.readouterr().out
+            assert out == (GOLDEN / f"witt_eval_p3_n3.{ext}").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("p,n", [(10007, 2), (19, 3), (7, 4), (2, 7)])
+    def test_refused_with_the_law_guard(self, p, n):
+        x = WittVec(p, (1,) * n)
+        for op in (lambda: witt_add(x, x), lambda: witt_mul(x, x), lambda: witt_neg(x)):
+            with pytest.raises(InputError, match=LAW_TOO_LARGE):
+                op()
 
 
 # -- evaluation of the laws as functions on F_p ----------------------------------

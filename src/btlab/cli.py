@@ -14,6 +14,7 @@ from the documented splitmix64 stream.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -62,9 +63,9 @@ def _report_doc(report: InvariantReport, max_level: int, p: int | None) -> dict:
         doc["p"] = p
     doc["orbits"] = [
         {
-            "rep": list(prof.orbit.rep),
-            "points": [list(pt) for pt in prof.orbit.points],
-            "epsilon": list(prof.eps),
+            "rep": prof.orbit.rep,
+            "points": prof.orbit.points,
+            "epsilon": prof.eps,
             "circular_level": prof.circular_level,
             "segments": [
                 {"start": s.start, "length": s.length, "level": s.level}
@@ -74,8 +75,8 @@ def _report_doc(report: InvariantReport, max_level: int, p: int | None) -> dict:
         }
         for prof in report.profiles
     ]
-    doc["gamma"] = list(report.gamma)
-    doc["c_exponent"] = list(report.c_exponent)
+    doc["gamma"] = report.gamma
+    doc["c_exponent"] = report.c_exponent
     if p is not None:
         doc["components"] = [f"{p}^{c}" for c in report.c_exponent]
     doc["isomorphism_number"] = report.isomorphism_number
@@ -119,8 +120,7 @@ def _report_table(doc: dict) -> str:
     if "components" in doc:
         table.append(["components"] + doc["components"])
     lines.append(_aligned(table))
-    lines.append(f"isomorphism_number   {doc['isomorphism_number']}")
-    lines.append(f"specializing_height  {doc['specializing_height']}")
+    lines.append(_aligned([[k, str(doc[k])] for k in ("isomorphism_number", "specializing_height")]))
     return "\n".join(lines)
 
 
@@ -146,10 +146,10 @@ def cmd_oracle(args) -> dict:
     doc = _report_doc(report, level, None)
     per_orbit = [
         {
-            "rep": list(row.rep),
+            "rep": row.rep,
             "free_paths": row.free_paths,
             "zeroed_vertices": row.zeroed_vertices,
-            "cycles": [[c.length, c.weight] for c in row.cycles],
+            "cycles": row.cycles,
         }
         for row in result.rows
     ]
@@ -163,12 +163,11 @@ def cmd_oracle(args) -> dict:
 
 
 def _oracle_table(doc: dict) -> str:
-    return "\n".join([
-        _report_table(doc),
-        f"oracle dimension  {doc['oracle']['dimension']}",
-        f"oracle exponent   {doc['oracle']['exponent']}",
-        f"verdict           {doc['verdict']}",
-    ])
+    return "\n".join([_report_table(doc), _aligned([
+        ["oracle dimension", str(doc["oracle"]["dimension"])],
+        ["oracle exponent", str(doc["oracle"]["exponent"])],
+        ["verdict", doc["verdict"]],
+    ])])
 
 
 def cmd_verify(args) -> dict:
@@ -196,20 +195,15 @@ def cmd_verify(args) -> dict:
 
 
 def _verify_table(doc: dict) -> str:
-    lines = [
-        f"samples    {doc['samples']}",
-        f"max_h      {doc['max_h']}",
-        f"max_level  {doc['max_level']}",
-        f"seed       {doc['seed']}",
-        f"failures   {len(doc['failures'])}",
-    ]
+    rows = [[k, str(doc[k])] for k in ("samples", "max_h", "max_level", "seed")]
+    rows += [["failures", str(len(doc["failures"]))], ["verdict", doc["verdict"]]]
+    *lines, verdict = _aligned(rows).split("\n")
     for f in doc["failures"]:
         lines.append(
             f"  perm={f['perm']} c={f['c']} d={f['d']} m={f['m']} "
             f"{f['kind']}: formula={f['formula']} oracle={f['oracle']}"
         )
-    lines.append(f"verdict    {doc['verdict']}")
-    return "\n".join(lines)
+    return "\n".join(lines + [verdict])
 
 
 def cmd_enumerate_bt1(args) -> dict:
@@ -274,20 +268,20 @@ def cmd_witt_eval(args) -> dict:
     return {
         "p": args.p,
         "n": args.len,
-        "lhs": list(x.components),
-        "rhs": list(y.components),
-        "sum": list(witt_add(x, y).components),
-        "product": list(witt_mul(x, y).components),
-        "neg_lhs": list(witt_neg(x).components),
-        "frobenius_lhs": list(frobenius(x).components),
-        "verschiebung_lhs": list(verschiebung(x).components),
-        "p_multiple_lhs": list(p_multiple(x).components),
+        "lhs": x.components,
+        "rhs": y.components,
+        "sum": witt_add(x, y).components,
+        "product": witt_mul(x, y).components,
+        "neg_lhs": witt_neg(x).components,
+        "frobenius_lhs": frobenius(x).components,
+        "verschiebung_lhs": verschiebung(x).components,
+        "p_multiple_lhs": p_multiple(x).components,
     }
 
 
 def _witt_eval_table(doc: dict) -> str:
     rows = [[key, "(" + ",".join(str(v) for v in val) + ")"]
-            for key, val in doc.items() if isinstance(val, list)]
+            for key, val in doc.items() if isinstance(val, tuple)]
     return f"p={doc['p']} n={doc['n']}\n" + _aligned(rows)
 
 
@@ -371,7 +365,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; subcommand ``x-y`` runs ``cmd_x_y``."""
     parser = _Parser(
         prog="btlab",
         description="Invariants of truncated Barsotti-Tate groups from permutations",
@@ -395,12 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invariants", help="gamma table, c_m table, isomorphism number")
     add_common(sp, perm=True, levels=True)
     sp.add_argument("--p", type=int, default=None, help="annotate component counts as p^c_m")
-    sp.set_defaults(func=cmd_invariants, table=_report_table)
+    sp.set_defaults(table=_report_table)
 
     sp = sub.add_parser("oracle", help="graph-oracle values and cross-check verdict")
     add_common(sp, perm=True)
     sp.add_argument("--level", type=int, default=1)
-    sp.set_defaults(func=cmd_oracle, table=_oracle_table)
+    sp.set_defaults(table=_oracle_table)
 
     sp = sub.add_parser("verify", help="seeded random sweep: formulas vs oracle")
     add_common(sp)
@@ -408,26 +404,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-h", type=int, default=7, dest="max_h")
     sp.add_argument("--max-level", type=int, default=4, dest="max_level")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_verify, table=_verify_table)
+    sp.set_defaults(table=_verify_table)
 
     sp = sub.add_parser("enumerate-bt1", help="all classes for a signature")
     add_common(sp)
     sp.add_argument("--c", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.set_defaults(
-        func=cmd_enumerate_bt1,
-        table=lambda doc: "\n".join(doc["classes"] + [str(doc["count"])]),
-    )
+    sp.set_defaults(table=lambda doc: "\n".join(doc["classes"] + [str(doc["count"])]))
 
     sp = sub.add_parser("kraft-type", help="circular-word class of a permutation")
     add_common(sp, perm=True)
-    sp.set_defaults(func=cmd_kraft_type, table=lambda doc: doc["class"])
+    sp.set_defaults(table=lambda doc: doc["class"])
 
     sp = sub.add_parser("witt-polys", help="sum/product/negation laws for (p, n)")
     add_common(sp)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--len", type=int, required=True)
-    sp.set_defaults(func=cmd_witt_polys, table=_witt_polys_table)
+    sp.set_defaults(table=_witt_polys_table)
 
     sp = sub.add_parser("witt-eval", help="evaluate ring operations on two vectors")
     add_common(sp)
@@ -435,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--len", type=int, required=True)
     sp.add_argument("--lhs", required=True)
     sp.add_argument("--rhs", required=True)
-    sp.set_defaults(func=cmd_witt_eval, table=_witt_eval_table)
+    sp.set_defaults(table=_witt_eval_table)
 
     sp = sub.add_parser("witt-check", help="ring table and operator identities")
     add_common(sp)
@@ -443,15 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--len", type=int, required=True)
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_witt_check, table=_witt_check_table)
+    sp.set_defaults(table=_witt_check_table)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at call time, so rebinding a cmd_* function (as the layer
+    # trace does) reaches the cached parser
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        doc = args.func(args)
+        doc = command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

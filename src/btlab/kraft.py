@@ -78,11 +78,6 @@ def lyndon_factors(letters: str) -> list[str]:
     return factors
 
 
-def dual_word(w: CircularWord) -> CircularWord:
-    swapped = w.letters.translate(str.maketrans("FV", "VF"))
-    return canonical_rotation(swapped)
-
-
 def _word_sort_key(w: CircularWord):
     return (-len(w.letters), w.letters)
 

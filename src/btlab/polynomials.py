@@ -9,7 +9,8 @@ Python over dicts; there is no compiled kernel.  Powers split off terms
 that share no variable with the rest by the binomial theorem, where each
 multiplication by a monomial is a key shift, and otherwise multiply by
 the base.  Keys are not checked as they form; ``check_exponents`` checks
-a finished result.
+a finished result.  ``PolyRing.unpack`` is the one place an exponent
+is read out of a key: rendering and evaluation work on its tuples.
 
 Division only ever happens by powers of p and must be exact; a remainder
 means the integrality guarantee of the Witt construction was violated
@@ -264,14 +265,6 @@ class Poly:
     def __len__(self):
         return len(self.terms)
 
-    def _sorted_keys(self) -> list[int]:
-        # total degree ascending, then exponent vector descending lex
-        def order(key: int):
-            exps = self.ring.unpack(key)
-            return (sum(exps), tuple(-e for e in exps))
-
-        return sorted(self.terms, key=order)
-
     def eval_mod(self, values: Sequence[int], p: int) -> int:
         """Evaluate at ``values`` (one per variable) in F_p; p must be prime.
 
@@ -298,48 +291,38 @@ class Poly:
 
     def _reduced_terms(self, p: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
         """``(coeff, ((var, exp), ...))`` per term of the reduced function on F_p."""
-        bits, mask, q = self.ring.bits, self.ring._field_mask, p - 1
-        merged: dict[int, int] = {}
+        unpack, q = self.ring.unpack, p - 1
+        merged: dict[tuple[int, ...], int] = {}
         for key, c in self.terms.items():
             c %= p
-            if not c:
-                continue
-            reduced, shift, k = 0, 0, key
-            while k:
-                e = k & mask
-                if e >= p:
-                    e = (e - 1) % q + 1
-                reduced |= e << shift
-                k >>= bits
-                shift += bits
-            merged[reduced] = merged.get(reduced, 0) + c
+            if c:
+                exps = tuple(e if e < p else (e - 1) % q + 1 for e in unpack(key))
+                merged[exps] = merged.get(exps, 0) + c
         out = []
-        for key, c in merged.items():
+        for exps, c in merged.items():
             c %= p
             if c:
-                exps = self.ring.unpack(key)
                 out.append((c, tuple((i, e) for i, e in enumerate(exps) if e)))
         return out
 
     # -- rendering ------------------------------------------------------------
 
     def render_monomial(self, key: int) -> str:
-        parts = []
-        for name, e in zip(self.ring.names, self.ring.unpack(key)):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return _monomial(self.ring.names, self.ring.unpack(key))
 
     def render(self) -> str:
-        """Canonical text form, e.g. ``x_1 + y_1 - x_0*y_0``."""
+        """Canonical text form, e.g. ``x_1 + y_1 - x_0*y_0``: total degree
+        ascending, then exponent vector descending."""
         if not self.terms:
             return "0"
-        pieces = []
-        for key in self._sorted_keys():
-            c = self.terms[key]
-            mono = self.render_monomial(key)
+        names, unpack = self.ring.names, self.ring.unpack
+        # exponent vectors are distinct, and the stable sort by degree keeps
+        # them descending within a degree
+        terms = sorted(((unpack(k), c) for k, c in self.terms.items()), reverse=True)
+        terms.sort(key=lambda term: sum(term[0]))
+        text = ""
+        for exps, c in terms:
+            mono = _monomial(names, exps)
             mag = abs(c)
             if mono == "1":
                 body = str(mag)
@@ -347,12 +330,17 @@ class Poly:
                 body = mono
             else:
                 body = f"{mag}*{mono}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
+            if text:
+                text += f" - {body}" if c < 0 else f" + {body}"
+            else:
+                text = f"-{body}" if c < 0 else body
         return text
 
     def __repr__(self):
         return f"Poly({self.render()})"
+
+
+def _monomial(names: Sequence[str], exps: Sequence[int]) -> str:
+    """``x_0^2*y_1`` for exponents (2, 0, 0, 1) of x_0, x_1, y_0, y_1."""
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+    return "*".join(parts) if parts else "1"

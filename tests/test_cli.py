@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from btlab import cli
 from btlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -301,6 +302,18 @@ def test_failure_golden_bytes(capsys, heavier_cycles, golden, fmt):
     )
     assert code == 1
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_parser_is_built_once_and_finds_rebound_commands(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "kraft-type", *H7)[0] == 0
+    calls = []
+    real = cli.cmd_kraft_type
+    monkeypatch.setattr(cli, "cmd_kraft_type", lambda args: calls.append(args) or real(args))
+    code, out, _ = run(capsys, "kraft-type", *H7)
+    assert (code, out) == (0, (GOLDEN / "kraft_h7.txt").read_text(encoding="utf-8"))
+    assert len(calls) == 1
+    assert cli.build_parser.cache_info().misses == 1
 
 
 class TestArgumentErrors:

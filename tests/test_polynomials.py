@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btlab.errors import VerificationError
@@ -20,10 +20,50 @@ def from_terms(ring, terms):
     return Poly(ring, data)
 
 
+def reference_order(f):
+    """Keys of ``f``, total degree ascending, then exponent vector
+    descending: the canonical order of terms."""
+    def order(key):
+        exps = f.ring.unpack(key)
+        return (sum(exps), tuple(-e for e in exps))
+
+    return sorted(f.terms, key=order)
+
+
 def iter_terms(f):
     """(exponent vector, coefficient) pairs of ``f`` in canonical order."""
-    for key in f._sorted_keys():
+    for key in reference_order(f):
         yield f.ring.unpack(key), f.terms[key]
+
+
+def reference_render(f):
+    """The canonical text form, built the way ``Poly.render`` used to
+    build it: sort the keys, then unpack each one again to render it."""
+    if not f.terms:
+        return "0"
+    pieces = []
+    for key in reference_order(f):
+        c = f.terms[key]
+        parts = []
+        for name, e in zip(f.ring.names, f.ring.unpack(key)):
+            if e == 1:
+                parts.append(name)
+            elif e > 1:
+                parts.append(f"{name}^{e}")
+        mono = "*".join(parts) if parts else "1"
+        mag = abs(c)
+        if mono == "1":
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        pieces.append(("-" if c < 0 else "+", body))
+    sign, body = pieces[0]
+    text = body if sign == "+" else f"-{body}"
+    for sign, body in pieces[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 def reference_pow(f, e):
@@ -112,6 +152,32 @@ def test_render_constants_and_negatives(ring):
     assert ring.constant(-5).render() == "-5"
     assert (ring.var(0).scale(-1) + ring.constant(2)).render() == "2 - x_0"
     assert ring.var(0, exponent=9, coeff=3).render() == "3*x_0^9"
+
+
+# 1 to 4 variables; a cap of 12 gives two-digit exponents.
+render_rings = [PolyRing([f"x_{i}" for i in range(k)], max_exponent=12) for k in range(1, 5)]
+
+
+@st.composite
+def render_polys(draw):
+    """Polynomials in 1-4 variables with exponents up to the cap and
+    coefficients that are +-1, negative or many digits long."""
+    ring = draw(st.sampled_from(render_rings))
+    k = len(ring.names)
+    coeff = st.one_of(st.sampled_from([-1, 1]), st.integers(-10**12, 10**12))
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, ring.max_exponent)] * k), coeff), max_size=8
+    ))
+    return from_terms(ring, terms)
+
+
+@given(render_polys())
+@example(render_rings[0].zero())
+@example(render_rings[0].constant(1))
+@example(render_rings[3].constant(-1))
+@example(render_rings[1].var(1, exponent=12, coeff=-1) + render_rings[1].constant(-10))
+def test_render_matches_reference(f):
+    assert f.render() == reference_render(f)
 
 
 def test_eval_mod(ring):

@@ -29,7 +29,7 @@ from btlab.witt import (
     witt_neg,
 )
 
-from test_polynomials import from_terms, iter_terms, reference_pow
+from test_polynomials import from_terms, iter_terms, reference_pow, reference_render
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -179,6 +179,14 @@ def test_golden_renderings(p, n):
         lines.extend(f"{name}_{l} = {poly.render()}" for l, poly in enumerate(polys))
     expected = (GOLDEN / f"witt_p{p}_n{n}.txt").read_text(encoding="utf-8")
     assert "\n".join(lines) + "\n" == expected
+
+
+@pytest.mark.parametrize("p,n", [
+    (p, n) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for n in range(1, 6) if p ** (n - 1) <= 27
+])
+def test_laws_render_as_the_reference(p, n):
+    for law in all_laws(p, n):
+        assert law.render() == reference_render(law)
 
 
 # -- vector arithmetic --------------------------------------------------------

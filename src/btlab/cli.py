@@ -63,8 +63,8 @@ def _report_doc(report: InvariantReport, max_level: int, p: int | None) -> dict:
         doc["p"] = p
     doc["orbits"] = [
         {
-            "rep": prof.orbit.rep,
-            "points": prof.orbit.points,
+            "rep": prof.orbit[0],
+            "points": prof.orbit,
             "epsilon": prof.eps,
             "circular_level": prof.circular_level,
             "segments": [
@@ -171,7 +171,7 @@ def _oracle_table(doc: dict) -> str:
 
 
 def cmd_verify(args) -> dict:
-    result = verification_sweep(args.samples, args.max_h, args.max_level, args.seed)
+    checks = verification_sweep(args.samples, args.max_h, args.max_level, args.seed)
     failures = [
         {
             "perm": mis.perm.one_line(),
@@ -182,7 +182,8 @@ def cmd_verify(args) -> dict:
             "formula": mis.formula_value,
             "oracle": mis.oracle_value,
         }
-        for mis in result.failures
+        for mis in checks
+        if mis is not None
     ]
     return {
         "samples": args.samples,
@@ -190,7 +191,7 @@ def cmd_verify(args) -> dict:
         "max_level": args.max_level,
         "seed": args.seed,
         "failures": failures,
-        "verdict": "pass" if result.ok else "fail",
+        "verdict": "fail" if failures else "pass",
     }
 
 
@@ -222,7 +223,7 @@ def cmd_kraft_type(args) -> dict:
         "d": sig.d,
         "perm": perm.one_line(),
         "class": cls.render(),
-        "words": [w.letters for w in cls.words],
+        "words": cls.words,
     }
 
 

@@ -14,13 +14,17 @@ An aperiodic circular word in its least rotation is a Lyndon word, and
 every word factors uniquely as a non-increasing product of Lyndon words
 (Chen-Fox-Lyndon), so the classes of (c, d) correspond to the binomial(c+d, c)
 arrangements of c letters F and d letters V; ``enumerate_bt1`` lists them so.
+
+A word is a plain ``str`` in its least rotation, and a ``BTClass`` keeps
+its words in the canonical order (longest first, then alphabetical), so
+two classes with the same multiset of words compare and hash equal.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 
 from .errors import InputError
@@ -36,30 +40,13 @@ MAX_BT1_CLASSES = 20_000
 MAX_BT1_HEIGHT = 40
 
 
-@dataclass(frozen=True, order=True)
-class CircularWord:
-    """Word over {F,V} stored in its least rotation (F < V)."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters:
-            raise InputError("circular words must be nonempty")
-        if set(self.letters) - {"F", "V"}:
-            raise ValueError(f"letters must be F or V, got {self.letters!r}")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __str__(self):
-        return self.letters
-
-
-def canonical_rotation(letters: str) -> CircularWord:
+def canonical_rotation(letters: str) -> str:
+    """The least rotation of a word over {F, V} (F < V)."""
     if not letters:
         raise InputError("circular words must be nonempty")
-    best = min(letters[i:] + letters[:i] for i in range(len(letters)))
-    return CircularWord(best)
+    if set(letters) - {"F", "V"}:
+        raise ValueError(f"letters must be F or V, got {letters!r}")
+    return min(letters[i:] + letters[:i] for i in range(len(letters)))
 
 
 def lyndon_factors(letters: str) -> list[str]:
@@ -78,15 +65,15 @@ def lyndon_factors(letters: str) -> list[str]:
     return factors
 
 
-def _word_sort_key(w: CircularWord):
-    return (-len(w.letters), w.letters)
+def _word_sort_key(w: str):
+    return (-len(w), w)
 
 
 @dataclass(frozen=True)
 class BTClass:
     """Multiset of aperiodic circular words, longest first."""
 
-    words: tuple[CircularWord, ...]
+    words: tuple[str, ...]
 
     def __post_init__(self):
         if not self.words:
@@ -94,14 +81,14 @@ class BTClass:
         object.__setattr__(self, "words", tuple(sorted(self.words, key=_word_sort_key)))
 
     def render(self) -> str:
-        return "+".join(w.letters for w in self.words)
+        return "+".join(self.words)
 
     def __str__(self):
         return self.render()
 
 
 def _class_sort_key(cls: BTClass):
-    return (len(cls.words), tuple(w.letters for w in cls.words))
+    return (len(cls.words), cls.words)
 
 
 def kraft_type(p: Permutation, sig: Signature) -> BTClass:
@@ -115,7 +102,7 @@ def kraft_type(p: Permutation, sig: Signature) -> BTClass:
     words = []
     for cyc in cycle_decomposition(p):
         necklace = canonical_rotation("".join("V" if i <= sig.d else "F" for i in cyc))
-        words.extend(map(CircularWord, lyndon_factors(necklace.letters)))
+        words.extend(lyndon_factors(necklace))
     return BTClass(tuple(words))
 
 
@@ -129,10 +116,10 @@ def _arrangements(f: int, v: int):
         yield "".join(letters)
 
 
-def aperiodic_necklaces(f: int, v: int) -> list[CircularWord]:
+def aperiodic_necklaces(f: int, v: int) -> list[str]:
     """Aperiodic circular words containing exactly f times F and v times V,
     sorted: the arrangements that are a single Lyndon word."""
-    return [CircularWord(s) for s in _arrangements(f, v) if len(lyndon_factors(s)) == 1]
+    return [s for s in _arrangements(f, v) if len(lyndon_factors(s)) == 1]
 
 
 def enumerate_bt1(sig: Signature) -> list[BTClass]:
@@ -142,9 +129,8 @@ def enumerate_bt1(sig: Signature) -> list[BTClass]:
             f"c+d must be at most {MAX_BT1_HEIGHT} and binomial(c+d, c) at most "
             f"{MAX_BT1_CLASSES}, got ({sig.c},{sig.d})"
         )
-    word = cache(CircularWord)  # one shared object per distinct word
-    classes = [
-        BTClass(tuple(map(word, lyndon_factors(letters))))
+    classes = [  # sys.intern: one shared str per distinct word
+        BTClass(tuple(map(sys.intern, lyndon_factors(letters))))
         for letters in _arrangements(sig.c, sig.d)
     ]
     return sorted(classes, key=_class_sort_key)

@@ -6,9 +6,10 @@ square J^2 = {1..h}^2 into three regions:
     J_+ = {(i, j) : i <= d < j},   J_0 = {both <= d or both > d},
     J_- = {(i, j) : j <= d < i}.
 
-Every orbit of (pi, pi) acting on J^2 gets an epsilon-sequence over
-{-1, 0, +1} (the region of each point).  These sequences drive all
-invariant computations downstream.
+An orbit of (pi, pi) acting on J^2 is the tuple of its points in the
+order (pi, pi) walks them, with the least pair first.  Every orbit gets
+an epsilon-sequence over {-1, 0, +1} (the region of each point).  These
+sequences drive all invariant computations downstream.
 
 Indices are 1-based throughout, matching J = {1, ..., h}.
 """
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from .errors import InputError
 
 EpsilonSeq = tuple[int, ...]
+#: One orbit of (pi, pi) on J^2: its points, least pair first.
+ProductOrbit = tuple[tuple[int, int], ...]
 
 
 #: Largest degree h that ``parse_permutation`` accepts.  The invariants
@@ -82,23 +85,6 @@ class Signature:
     @property
     def h(self) -> int:
         return self.c + self.d
-
-
-@dataclass(frozen=True)
-class ProductOrbit:
-    """One orbit of (pi,pi) on J^2, rotated so points[0] is the least pair."""
-
-    points: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    @property
-    def rep(self) -> tuple[int, int]:
-        return self.points[0]
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -212,7 +198,7 @@ def pair_orbits(p: Permutation) -> list[ProductOrbit]:
                 a = img[a]
                 b = img[b]
                 k = a * w + b
-            orbits.append(ProductOrbit(tuple(pts)))
+            orbits.append(tuple(pts))
     return orbits
 
 
@@ -235,7 +221,7 @@ def epsilon_value(i: int, j: int, d: int) -> int:
 
 def epsilon_sequence(o: ProductOrbit, sig: Signature) -> EpsilonSeq:
     h = sig.h
-    for i, j in o.points:
+    for i, j in o:
         if not (1 <= i <= h and 1 <= j <= h):
             raise InputError(f"orbit point ({i},{j}) outside 1..{h} square")
-    return tuple(epsilon_value(i, j, sig.d) for i, j in o.points)
+    return tuple(epsilon_value(i, j, sig.d) for i, j in o)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InputError
@@ -58,22 +57,12 @@ def random_cases(samples: int, max_h: int, seed: int) -> Iterator[tuple[Permutat
         yield Permutation(tuple(images)), Signature(c=h - d, d=d)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    checks: tuple[VerificationMismatch | None, ...]  # None where a case passed
-
-    @property
-    def failures(self) -> tuple[VerificationMismatch, ...]:
-        return tuple(c for c in self.checks if c is not None)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verification_sweep(samples: int, max_h: int, max_level: int, seed: int) -> SweepResult:
+def verification_sweep(
+    samples: int, max_h: int, max_level: int, seed: int
+) -> tuple[VerificationMismatch | None, ...]:
+    """Cross-check every case of the seeded stream: one entry per case,
+    its first mismatch or None where the case passed."""
     _check_sweep(samples, max_h, max_level)
-    checks = tuple(
+    return tuple(
         cross_check(p, sig, max_level) for p, sig in random_cases(samples, max_h, seed)
     )
-    return SweepResult(checks)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from btlab import kraft
 from btlab.kraft import (
     BTClass,
-    CircularWord,
     aperiodic_necklaces,
     canonical_rotation,
     enumerate_bt1,
@@ -26,14 +25,14 @@ class CountMismatch(VerificationError):
     pass
 
 
-def reference_dual_word(w: CircularWord) -> CircularWord:
+def reference_dual_word(w: str) -> str:
     """The Cartier dual of a word: swap F and V, then take the least rotation."""
-    return canonical_rotation(w.letters.translate(str.maketrans("FV", "VF")))
+    return canonical_rotation(w.translate(str.maketrans("FV", "VF")))
 
 
-def is_aperiodic(w: CircularWord) -> bool:
-    s = w.letters  # a proper power u^k also occurs in s+s at shift |u|
-    return (s + s).find(s, 1) == len(s)
+def is_aperiodic(w: str) -> bool:
+    # a proper power u^k also occurs in w+w at shift |u|
+    return (w + w).find(w, 1) == len(w)
 
 
 def reference_count_bt1(sig):
@@ -47,7 +46,7 @@ def reference_count_bt1(sig):
             f"expected binomial({sig.h},{sig.c}) = {expected}"
         )
     for w in {w for cls in classes for w in cls.words}:
-        if canonical_rotation(w.letters) != w or not is_aperiodic(w):
+        if canonical_rotation(w) != w or not is_aperiodic(w):
             raise CountMismatch(f"class word {w} is not aperiodic in its least rotation")
     return distinct
 
@@ -68,7 +67,7 @@ def reference_enumerate_bt1(sig):
                     letters[i] = "V"
                 found.add(canonical_rotation("".join(letters)))
             pool.extend((w, f, v) for w in found if is_aperiodic(w))
-    pool.sort(key=lambda item: (-len(item[0]), item[0].letters))
+    pool.sort(key=lambda item: (-len(item[0]), item[0]))
     classes = []
 
     def extend(idx, c_rem, d_rem, acc):
@@ -83,7 +82,7 @@ def reference_enumerate_bt1(sig):
                 acc.pop()
 
     extend(0, sig.c, sig.d, [])
-    return sorted(classes, key=lambda cls: (len(cls.words), [w.letters for w in cls.words]))
+    return sorted(classes, key=lambda cls: (len(cls.words), cls.words))
 
 
 def is_lyndon(u):
@@ -105,38 +104,36 @@ def mobius(n):
 
 class TestWords:
     def test_canonical_rotation(self):
-        assert canonical_rotation("VF").letters == "FV"
-        assert canonical_rotation("VVFF").letters == "FFVV"
-        assert canonical_rotation("F").letters == "F"
+        assert canonical_rotation("VF") == "FV"
+        assert canonical_rotation("VVFF") == "FFVV"
+        assert canonical_rotation("F") == "F"
 
     def test_empty_word_rejected(self):
         with pytest.raises(InputError, match="circular words must be nonempty"):
             canonical_rotation("")
-        with pytest.raises(InputError, match="circular words must be nonempty"):
-            CircularWord("")
 
     def test_bad_letters_rejected(self):
         with pytest.raises(ValueError):
-            CircularWord("FQ")
+            canonical_rotation("FQ")
 
     @given(words)
     def test_canonical_is_least_rotation(self, w):
-        canon = canonical_rotation(w).letters
+        canon = canonical_rotation(w)
         rotations = {w[i:] + w[:i] for i in range(len(w))}
         assert canon in rotations
         assert all(canon <= r for r in rotations)
 
     def test_aperiodicity(self):
-        assert is_aperiodic(CircularWord("FV"))
+        assert is_aperiodic("FV")
         assert not is_aperiodic(canonical_rotation("FVFV"))
-        assert is_aperiodic(CircularWord("FFVV"))
-        assert not is_aperiodic(CircularWord("F" * 6))
+        assert is_aperiodic("FFVV")
+        assert not is_aperiodic("F" * 6)
 
     @given(words)
     def test_aperiodic_means_no_proper_period(self, w):
         n = len(w)
         periodic = any(n % q == 0 and w[:q] * (n // q) == w for q in range(1, n))
-        assert is_aperiodic(CircularWord(w)) is not periodic
+        assert is_aperiodic(w) is not periodic
 
     @given(st.text(alphabet="FV", max_size=16))
     def test_lyndon_factors(self, w):
@@ -152,14 +149,14 @@ class TestWords:
         assert lyndon_factors("FFVFV") == ["FFVFV"]
 
     def test_dual_simple_objects(self):
-        assert reference_dual_word(CircularWord("F")).letters == "V"
-        assert reference_dual_word(CircularWord("V")).letters == "F"
+        assert reference_dual_word("F") == "V"
+        assert reference_dual_word("V") == "F"
 
     def test_dual_self_dual_class(self):
-        assert reference_dual_word(CircularWord("FFVV")).letters == "FFVV"
+        assert reference_dual_word("FFVV") == "FFVV"
 
     def test_dual_swaps_and_canonicalizes(self):
-        assert reference_dual_word(CircularWord("FFV")).letters == "FVV"
+        assert reference_dual_word("FFV") == "FVV"
 
     @given(words)
     def test_dual_is_involution(self, w):
@@ -176,7 +173,7 @@ class TestKraftType:
 
     def test_rank_two_types(self):
         split = kraft_type(Permutation((1, 2)), Signature(1, 1))
-        assert [w.letters for w in split.words] == ["F", "V"]
+        assert split.words == ("F", "V")
         joined = kraft_type(parse_permutation("(1 2)"), Signature(1, 1))
         assert joined.render() == "FV"
         assert len({split.render(), joined.render()}) == 2
@@ -199,7 +196,7 @@ class TestKraftType:
         for d in range(6):
             sig = Signature(c=5 - d, d=d)
             cls = kraft_type(p, sig)
-            letters = "".join(w.letters for w in cls.words)
+            letters = "".join(cls.words)
             assert letters.count("F") == sig.c
             assert letters.count("V") == sig.d
 
@@ -217,7 +214,7 @@ class TestKraftType:
     def test_dual_type_lands_in_swapped_signature(self):
         p = parse_permutation("(1 2 3 4 5)")
         cls = kraft_type(p, Signature(c=3, d=2))
-        letters = "".join(reference_dual_word(w).letters for w in cls.words)
+        letters = "".join(reference_dual_word(w) for w in cls.words)
         assert letters.count("F") == 2 and letters.count("V") == 3
 
 
@@ -245,7 +242,7 @@ class TestEnumeration:
 
     def test_necklace_contents(self):
         for w in aperiodic_necklaces(2, 2):
-            assert w.letters.count("F") == 2 and w.letters.count("V") == 2
+            assert w.count("F") == 2 and w.count("V") == 2
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_necklace_count_formula(self, n):
@@ -258,7 +255,7 @@ class TestEnumeration:
             necklaces = aperiodic_necklaces(f, n - f)
             assert len(necklaces) * n == total
             assert necklaces == sorted(necklaces)
-            assert all(canonical_rotation(w.letters) == w for w in necklaces)
+            assert all(canonical_rotation(w) == w for w in necklaces)
 
     @pytest.mark.parametrize("h", range(1, 11))
     def test_matches_reference(self, h):
@@ -310,8 +307,18 @@ class TestCounts:
 
 class TestBTClass:
     def test_words_sorted_longest_first(self):
-        cls = BTClass((CircularWord("V"), CircularWord("FFV")))
+        cls = BTClass(("V", "FFV"))
         assert cls.render() == "FFV+V"
+
+    def test_equal_words_in_any_order_make_equal_classes(self):
+        a = BTClass(("V", "FV", "FFV", "F", "FV"))
+        b = BTClass(("FV", "F", "FFV", "FV", "V"))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a.words == b.words == ("FFV", "FV", "FV", "F", "V")
+        assert a.render() == b.render() == "FFV+FV+FV+F+V"
+        assert a != BTClass(("FFV", "FV", "F", "V"))
 
     def test_rejects_empty(self):
         with pytest.raises(InputError, match="a class needs at least one word"):

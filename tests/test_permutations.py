@@ -149,12 +149,11 @@ class TestCycleDecomposition:
 class TestPairOrbits:
     def test_minimal_example_contains_paper_orbit(self):
         orbits = pair_orbits(parse_permutation("4,5,1,2,3"))
-        points = [o.points for o in orbits]
-        assert ((1, 2), (4, 5), (2, 3), (5, 1), (3, 4)) in points
+        assert ((1, 2), (4, 5), (2, 3), (5, 1), (3, 4)) in orbits
 
     def test_identity_h2_four_singletons(self):
         orbits = pair_orbits(Permutation((1, 2)))
-        assert [o.points for o in orbits] == [
+        assert orbits == [
             ((1, 1),),
             ((1, 2),),
             ((2, 1),),
@@ -163,7 +162,7 @@ class TestPairOrbits:
 
     def test_transposition(self):
         orbits = pair_orbits(parse_permutation("(1 2)"))
-        assert [o.points for o in orbits] == [
+        assert orbits == [
             ((1, 1), (2, 2)),
             ((1, 2), (2, 1)),
         ]
@@ -172,7 +171,7 @@ class TestPairOrbits:
     def test_matches_set_of_tuples_reference_on_all_of_s_h(self, h):
         for images in permutations(range(1, h + 1)):
             p = Permutation(images)
-            assert [o.points for o in pair_orbits(p)] == reference_pair_orbits(p)
+            assert pair_orbits(p) == reference_pair_orbits(p)
 
     def test_format_invariance(self):
         a = pair_orbits(parse_permutation("4,5,1,2,3"))
@@ -182,7 +181,7 @@ class TestPairOrbits:
     @given(perms())
     def test_orbits_partition_the_square(self, p):
         orbits = pair_orbits(p)
-        everything = [pt for o in orbits for pt in o.points]
+        everything = [pt for o in orbits for pt in o]
         assert len(everything) == p.h * p.h
         assert set(everything) == {
             (i, j) for i in range(1, p.h + 1) for j in range(1, p.h + 1)
@@ -201,12 +200,12 @@ class TestPairOrbits:
     @given(perms())
     def test_orbits_canonical(self, p):
         orbits = pair_orbits(p)
-        reps = [o.rep for o in orbits]
+        reps = [o[0] for o in orbits]
         assert reps == sorted(reps)
         for o in orbits:
-            assert o.rep == min(o.points)
+            assert o[0] == min(o)
             # successor structure: applying (pi,pi) to the last point wraps
-            for (a, b), (x, y) in zip(o.points, o.points[1:] + o.points[:1]):
+            for (a, b), (x, y) in zip(o, o[1:] + o[:1]):
                 assert (p(a), p(b)) == (x, y)
 
     @given(perms(), st.integers(0, 7))
@@ -214,16 +213,14 @@ class TestPairOrbits:
         d = min(d, p.h)
         sig = Signature(c=p.h - d, d=d)
         orbits = pair_orbits(p)
-        by_points = {o.points for o in orbits}
+        by_points = set(orbits)
         for o in orbits:
-            flipped = tuple((j, i) for i, j in o.points)
+            flipped = tuple((j, i) for i, j in o)
             least = flipped.index(min(flipped))
             canonical = flipped[least:] + flipped[:least]
             assert canonical in by_points
             eps = epsilon_sequence(o, sig)
-            from btlab.permutations import ProductOrbit
-
-            eps_t = epsilon_sequence(ProductOrbit(canonical), sig)
+            eps_t = epsilon_sequence(canonical, sig)
             rotated = eps[least:] + eps[:least]
             assert eps_t == tuple(-v for v in rotated)
 
@@ -232,19 +229,19 @@ class TestEpsilonMu:
     def test_minimal_example_sequence(self):
         p = parse_permutation("4,5,1,2,3")
         sig = Signature(c=2, d=3)
-        orbit = next(o for o in pair_orbits(p) if o.rep == (1, 2))
+        orbit = next(o for o in pair_orbits(p) if o[0] == (1, 2))
         assert epsilon_sequence(orbit, sig) == (0, 0, 0, -1, 1)
 
     def test_square_example_sequence(self):
         p = parse_permutation("(1 2 3 4)")
         sig = Signature(c=2, d=2)
-        orbit = next(o for o in pair_orbits(p) if o.rep == (1, 3))
+        orbit = next(o for o in pair_orbits(p) if o[0] == (1, 3))
         assert epsilon_sequence(orbit, sig) == (1, 1, -1, -1)
 
     def test_orbit_inside_j0_is_all_zero(self):
         p = parse_permutation("(1 2 3 4)")
         sig = Signature(c=2, d=2)
-        orbit = next(o for o in pair_orbits(p) if o.rep == (1, 1))
+        orbit = next(o for o in pair_orbits(p) if o[0] == (1, 1))
         assert epsilon_sequence(orbit, sig) == (0, 0, 0, 0)
 
     @given(perms(), st.integers(0, 7))
@@ -263,7 +260,7 @@ class TestEpsilonMu:
         d = min(d, p.h)
         sig = Signature(c=p.h - d, d=d)
         for o in pair_orbits(p):
-            if len(o) == 1 and o.rep[0] == o.rep[1]:
+            if len(o) == 1 and o[0][0] == o[0][1]:
                 assert epsilon_sequence(o, sig) == (0,)
 
     def test_degenerate_signature_all_zero(self):
@@ -271,3 +268,19 @@ class TestEpsilonMu:
         for sig in (Signature(3, 0), Signature(0, 3)):
             for o in pair_orbits(p):
                 assert set(epsilon_sequence(o, sig)) == {0}
+
+    @pytest.mark.parametrize(
+        "orbit,bad",
+        [
+            (((1, 2), (2, 4)), "(2,4)"),
+            (((4, 1), (1, 2)), "(4,1)"),
+            (((0, 1),), "(0,1)"),
+            (((3, 3), (1, -1)), "(1,-1)"),
+        ],
+    )
+    def test_point_outside_the_square_is_refused(self, orbit, bad):
+        # an orbit is a plain tuple of points, so one built by hand can
+        # leave the h x h square of its signature
+        message = re.escape(f"orbit point {bad} outside 1..3 square")
+        with pytest.raises(InputError, match=message):
+            epsilon_sequence(orbit, Signature(c=1, d=2))

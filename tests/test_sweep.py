@@ -93,7 +93,6 @@ class TestVerificationSweep:
             verification_sweep(samples, max_h, max_level, seed=0)
 
     def test_small_sweep_passes(self):
-        result = verification_sweep(samples=40, max_h=6, max_level=3, seed=123)
-        assert result.ok
-        assert len(result.checks) == 40
-        assert result.failures == ()
+        checks = verification_sweep(samples=40, max_h=6, max_level=3, seed=123)
+        assert len(checks) == 40
+        assert [c for c in checks if c is not None] == []

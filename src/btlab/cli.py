@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import witt
 from .errors import InputError, VerificationError
@@ -103,12 +104,12 @@ def _report_table(doc: dict) -> str:
         circ = "-" if orb["circular_level"] is None else str(orb["circular_level"])
         rows.append(
             [
-                "(" + ",".join(str(v) for v in orb["rep"]) + ")",
+                "(" + ",".join(map(str, orb["rep"])) + ")",
                 str(len(orb["points"])),
-                "(" + ",".join(str(v) for v in orb["epsilon"]) + ")",
+                "(" + ",".join(map(str, orb["epsilon"])) + ")",
                 circ,
                 segs,
-                "(" + ",".join(str(v) for v in orb["a"]) + ")",
+                "(" + ",".join(map(str, orb["a"])) + ")",
             ]
         )
     lines.append(_aligned(rows))
@@ -281,7 +282,7 @@ def cmd_witt_eval(args) -> dict:
 
 
 def _witt_eval_table(doc: dict) -> str:
-    rows = [[key, "(" + ",".join(str(v) for v in val) + ")"]
+    rows = [[key, "(" + ",".join(map(str, val)) + ")"]
             for key, val in doc.items() if isinstance(val, tuple)]
     return f"p={doc['p']} n={doc['n']}\n" + _aligned(rows)
 
@@ -356,6 +357,67 @@ def cmd_witt_check(args) -> dict:
 def _witt_check_table(doc: dict) -> str:
     rows = [[k, str(v)] for k, v in doc.items() if k != "identity_failures"]
     return "\n".join([_aligned(rows)] + [f"  {msg}" for msg in doc["identity_failures"]])
+
+
+def _json(o) -> str:
+    """``o`` as JSON indented by two spaces, byte for byte as the stdlib
+    ``json`` module writes it, for the values a command returns; any
+    other type, or a dict key that is not a ``str``, is a TypeError.
+    Joined once, so no piece is copied into its container's text."""
+    parts: list[str] = []
+    _write(o, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write(o, indent: str, put) -> None:
+    """Pass the JSON pieces of ``o`` to ``put``.  A list of plain ints or
+    strs, or of equal-length tuples of plain ints (an orbit's points), is
+    one piece, written without a call per leaf.  ``indent`` is the line
+    break and indentation of the line ``o`` starts on."""
+    t = type(o)
+    if t is str:
+        return put(_quote(o))
+    if t is int:
+        return put(int.__repr__(o))
+    if t is bool:
+        return put("true" if o else "false")
+    if o is None:
+        return put("null")
+    inner = indent + "  "
+    sep = "," + inner
+    if t is dict:
+        if not o:
+            return put("{}")
+        if set(map(type, o)) != {str}:
+            raise TypeError("JSON object keys must be str")
+        lead = "{" + inner
+        for k, v in o.items():
+            put(lead + _quote(k) + ": ")
+            _write(v, inner, put)
+            lead = sep
+        return put(indent + "}")
+    if not (t is list or t is tuple or isinstance(o, tuple)):
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not o:
+        return put("[]")
+    put("[" + inner)
+    types = set(map(type, o))
+    if types == {int}:
+        put(sep.join(map(int.__repr__, o)))
+    elif types == {str}:
+        put(sep.join(map(_quote, o)))
+    elif (types == {tuple} and len(set(map(len, o))) == 1
+          and set(map(type, flat := tuple(chain.from_iterable(o)))) == {int}):
+        deeper = inner + "  "
+        one = "[" + deeper + ("," + deeper).join(["%d"] * len(o[0])) + inner + "]"
+        put(sep.join([one] * len(o)) % flat)
+    else:
+        lead = ""
+        for v in o:
+            put(lead)
+            _write(v, inner, put)
+            lead = sep
+    put(indent + "]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -455,16 +517,16 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    body = json.dumps(doc, indent=2) if args.format == "json" else args.table(doc)
-    text = body + "\n"
+    body = _json(doc) if args.format == "json" else args.table(doc)
+    # print writes the line break separately, so the text is never copied
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                print(body, file=fh)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 2
-    sys.stdout.write(text)
+    print(body)
     return 1 if doc.get("verdict") == "fail" else 0
 
 

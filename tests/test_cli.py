@@ -1,9 +1,11 @@
 import hashlib
 import io
+import itertools
 import json
 import string
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from btlab import cli
 from btlab.cli import main
+from btlab.graph_oracle import Cycle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -264,8 +267,7 @@ class TestWittCommands:
 H7 = ["--c", "4", "--d", "3", "--perm", "(1 4)(2 5 3)(6 7)"]
 
 
-@pytest.mark.parametrize(
-    "golden,argv",
+GOLDEN_ARGVS = (
     [
         (f"{name}.{ext}", argv + (["--format", "json"] if ext == "json" else []))
         for name, argv in [
@@ -283,8 +285,11 @@ H7 = ["--c", "4", "--d", "3", "--perm", "(1 4)(2 5 3)(6 7)"]
     + [
         ("witt_polys_p3_n2.json", ["witt-polys", "--p", "3", "--len", "2", "--format", "json"]),
         ("witt_p2_n3.txt", ["witt-polys", "--p", "2", "--len", "3"]),
-    ],
+    ]
 )
+
+
+@pytest.mark.parametrize("golden,argv", GOLDEN_ARGVS)
 def test_golden_bytes(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -302,6 +307,103 @@ def test_failure_golden_bytes(capsys, heavier_cycles, golden, fmt):
     )
     assert code == 1
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+class Pair(NamedTuple):
+    left: object
+    right: object
+
+
+# ints of any sign and size; ASCII, non-ASCII and control-character text
+JSON_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+JSON_TEXT = st.text() | st.text(alphabet=st.characters(max_codepoint=0x7F)) | st.text(
+    alphabet=st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/é\u2028\U0001f600'))
+# lists of equal-length int tuples (an orbit's points), sometimes ragged
+INT_ROWS = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.tuples(*[JSON_INTS] * n) | st.tuples(JSON_INTS), min_size=1))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_INTS | JSON_TEXT | INT_ROWS | st.lists(JSON_INTS),
+    lambda kids: (
+        st.lists(kids) | st.lists(kids).map(tuple) | st.builds(Pair, kids, kids)
+        | st.dictionaries(JSON_TEXT, kids)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+@example({})
+@example([[], (), {}, [[]], {"a": {}}, [{}]])
+@example([1, True, 0, False])
+@example([True, False])
+@example([(1, 2), (3,), (4, 5)])
+@example([(1, 2), (True, 3)])
+@example([(1, 2), ()])
+@example([(2**70, -1), (-(2**70), 0)])
+@example({"cycles": (Cycle(2, 2), Cycle(3, 3)), "rows": [Cycle(1, 1)]})
+@example(["a", "\x00\x1f", "\u00e9\U0001f600", '"\\'])
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, 1.5, [0.0], {1: "a"}, {"a": {(1, 2): 3}}])
+def test_json_writer_refuses_other_types_and_keys(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_json_writer_makes_no_call_per_leaf(monkeypatch):
+    """A list of ints, of strs or of int pairs is written in the call that
+    reaches it, not one call per entry."""
+    calls = []
+    real = cli._write
+    monkeypatch.setattr(cli, "_write", lambda o, *rest: calls.append(o) or real(o, *rest))
+    doc = {"points": [(i, -i) for i in range(500)], "a": list(range(500)),
+           "classes": ["FV"] * 500}
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+    assert len(calls) == 4
+
+
+S5 = [",".join(map(str, p)) for p in itertools.permutations(range(1, 6))]
+
+
+def command_argvs():
+    """One argv per command document: every subcommand, the square and
+    the h = 7 oracle (whose rows hold Cycle tuples), and invariants on
+    all of S_5 at level 3, with and without --p."""
+    yield from (argv for _, argv in GOLDEN_ARGVS)
+    yield ["oracle", "--c", "2", "--d", "2", "--perm", "(1 2 3 4)", "--level", "3"]
+    yield ["oracle", *H7, "--level", "4"]
+    for i, perm in enumerate(S5):
+        d = i % 4 + 1
+        for extra in ([], ["--p", "5"]):
+            yield ["invariants", "--c", str(5 - d), "--d", str(d), "--perm", perm,
+                   "--max-level", "3", *extra]
+
+
+def command_doc(argv):
+    args = cli.build_parser().parse_args(argv)
+    return getattr(cli, "cmd_" + args.command.replace("-", "_"))(args)
+
+
+def test_every_command_document_renders_as_json_dumps():
+    commands, cycles = set(), 0
+    for argv in command_argvs():
+        doc = command_doc(argv)
+        assert cli._json(doc) == json.dumps(doc, indent=2), argv
+        commands.add(argv[0])
+        cycles += sum(len(r["cycles"]) for r in doc.get("oracle", {}).get("per_orbit", ()))
+    assert commands == {name.replace("_", "-")[4:] for name in dir(cli)
+                        if name.startswith("cmd_")}
+    assert cycles > 0
+
+
+def test_failing_verify_document_renders_as_json_dumps(heavier_cycles):
+    doc = command_doc(["verify", "--samples", "6", "--max-h", "4", "--max-level", "2",
+                       "--seed", "1"])
+    assert doc["verdict"] == "fail"
+    assert cli._json(doc) == json.dumps(doc, indent=2)
 
 
 def test_parser_is_built_once_and_finds_rebound_commands(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -53,13 +54,10 @@ def _permutation(args, sig: Signature) -> Permutation:
     return parse_permutation(args.perm, degree=sig.h)
 
 
-def _report_doc(report: InvariantReport, max_level: int, p: int | None) -> dict:
-    doc = {
-        "h": report.h,
-        "c": report.c,
-        "d": report.d,
-        "perm": report.perm.one_line(),
-    }
+def _report_doc(
+    perm: Permutation, sig: Signature, report: InvariantReport, max_level: int, p: int | None
+) -> dict:
+    doc = {"h": sig.h, "c": sig.c, "d": sig.d, "perm": perm.one_line()}
     if p is not None:
         doc["p"] = p
     doc["orbits"] = [
@@ -133,7 +131,7 @@ def cmd_invariants(args) -> dict:
     sig = _signature(args)
     perm = _permutation(args, sig)
     report = invariant_report(perm, sig, args.max_level)
-    return _report_doc(report, args.max_level, args.p)
+    return _report_doc(perm, sig, report, args.max_level, args.p)
 
 
 def cmd_oracle(args) -> dict:
@@ -144,7 +142,7 @@ def cmd_oracle(args) -> dict:
         raise InputError(f"--level must be >= 1, got {level}")
     report = invariant_report(perm, sig, level)
     result = oracle_components(perm, sig, level)
-    doc = _report_doc(report, level, None)
+    doc = _report_doc(perm, sig, report, level, None)
     per_orbit = [
         {
             "rep": row.rep,
@@ -371,8 +369,9 @@ def _json(o) -> str:
 
 def _write(o, indent: str, put) -> None:
     """Pass the JSON pieces of ``o`` to ``put``.  A list of plain ints or
-    strs, or of equal-length tuples of plain ints (an orbit's points), is
-    one piece, written without a call per leaf.  ``indent`` is the line
+    strs, or of equal-length tuples of plain ints (an orbit's points, or
+    an oracle row's ``Cycle`` records), is one piece, written without a
+    call per leaf.  ``indent`` is the line
     break and indentation of the line ``o`` starts on."""
     t = type(o)
     if t is str:
@@ -406,7 +405,7 @@ def _write(o, indent: str, put) -> None:
         put(sep.join(map(int.__repr__, o)))
     elif types == {str}:
         put(sep.join(map(_quote, o)))
-    elif (types == {tuple} and len(set(map(len, o))) == 1
+    elif (all(issubclass(t, tuple) for t in types) and len(set(map(len, o))) == 1
           and set(map(type, flat := tuple(chain.from_iterable(o)))) == {int}):
         deeper = inner + "  "
         one = "[" + deeper + ("," + deeper).join(["%d"] * len(o[0])) + inner + "]"
@@ -526,7 +525,11 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 2
-    print(body)
+    try:
+        print(body, flush=True)
+    except BrokenPipeError:
+        # the reader has stopped (``| head``): the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if doc.get("verdict") == "fail" else 0
 
 

@@ -60,19 +60,16 @@ from .permutations import Permutation, Signature
 MAX_ORACLE_VERTICES = 1_000_000
 
 
-class VerificationMismatch(VerificationError):
-    def __init__(self, perm, c, d, m, kind, formula_value, oracle_value):
-        self.perm = perm
-        self.c = c
-        self.d = d
-        self.m = m
-        self.kind = kind
-        self.formula_value = formula_value
-        self.oracle_value = oracle_value
-        super().__init__(
-            f"{kind} mismatch at m={m} for perm={perm.one_line()} c={c} d={d}: "
-            f"formula={formula_value} oracle={oracle_value}"
-        )
+class Mismatch(NamedTuple):
+    """The first level at which a case's formulas and oracle disagree."""
+
+    perm: Permutation
+    c: int
+    d: int
+    m: int
+    kind: str  # "cycle-weight", "dimension" or "exponent"
+    formula_value: int
+    oracle_value: int
 
 
 def _stepped(block: array, step: int, n: int) -> array:
@@ -370,12 +367,12 @@ def level_mismatch(
     return None
 
 
-def cross_check(p: Permutation, sig: Signature, max_level: int) -> VerificationMismatch | None:
+def cross_check(p: Permutation, sig: Signature, max_level: int) -> Mismatch | None:
     """Compare ``invariant_report`` with the graph oracle for m =
     1..max_level by ``level_mismatch``, reading every level from one
     classification of the level-max_level graph.  Returns the first
-    counterexample instead of raising, None when every level agrees."""
+    counterexample as a ``Mismatch``, None when every level agrees."""
     report = invariant_report(p, sig, max_level)
     result = classify_components(build_gamma_graph(p, sig, max_level))
     found = level_mismatch(report, result, range(1, max_level + 1))
-    return VerificationMismatch(p, sig.c, sig.d, *found) if found else None
+    return Mismatch(p, sig.c, sig.d, *found) if found else None

@@ -29,7 +29,6 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
@@ -164,8 +163,7 @@ def circular_level(e: EpsilonSeq) -> int | None:
     return hi - lo
 
 
-@dataclass(frozen=True)
-class OrbitProfile:
+class OrbitProfile(NamedTuple):
     orbit: ProductOrbit
     eps: EpsilonSeq
     segments: tuple[Segment, ...]
@@ -212,12 +210,7 @@ def isomorphism_number(profiles: Sequence[OrbitProfile]) -> int:
     return max(levels, default=1)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    h: int
-    c: int
-    d: int
-    perm: Permutation
+class InvariantReport(NamedTuple):
     profiles: tuple[OrbitProfile, ...]
     gamma: tuple[int, ...]  # gamma[m-1] for m = 1..max_level
     c_exponent: tuple[int, ...]
@@ -260,10 +253,6 @@ def invariant_report(p: Permutation, sig: Signature, max_level: int) -> Invarian
         moment += n * w
         c_table.append((n + 1) * weight - moment)
     return InvariantReport(
-        h=sig.h,
-        c=sig.c,
-        d=sig.d,
-        perm=p,
         profiles=profiles,
         gamma=tuple(accumulate(seg_counts)),
         c_exponent=tuple(c_table),

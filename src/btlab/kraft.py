@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InputError
 from .permutations import Permutation, Signature, cycle_decomposition
+from .values import Value
 
 
 #: enumerate_bt1 refuses signatures with more classes than this, that is
@@ -69,22 +69,18 @@ def _word_sort_key(w: str):
     return (-len(w), w)
 
 
-@dataclass(frozen=True)
-class BTClass:
+class BTClass(Value):
     """Multiset of aperiodic circular words, longest first."""
 
-    words: tuple[str, ...]
+    __slots__ = ("words",)
 
-    def __post_init__(self):
-        if not self.words:
+    def __init__(self, words: tuple[str, ...]):
+        if not words:
             raise InputError("a class needs at least one word")
-        object.__setattr__(self, "words", tuple(sorted(self.words, key=_word_sort_key)))
+        self.words = tuple(sorted(words, key=_word_sort_key))
 
     def render(self) -> str:
         return "+".join(self.words)
-
-    def __str__(self):
-        return self.render()
 
 
 def _class_sort_key(cls: BTClass):

@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import InputError
+from .values import Value
 
 EpsilonSeq = tuple[int, ...]
 #: One orbit of (pi, pi) on J^2: its points, least pair first.
@@ -39,23 +39,23 @@ def _check_degree(h: int) -> None:
         raise InputError(f"permutation degree must be <= {MAX_DEGREE}, got {h}")
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """Bijection of {1,...,h}; images[i-1] = pi(i)."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        h = len(self.images)
+    def __init__(self, images: tuple[int, ...]):
+        h = len(images)
         if h == 0:
             raise InputError("permutation has no points")
         seen = set()
-        for v in self.images:
+        for v in images:
             if not isinstance(v, int) or not 1 <= v <= h:
                 raise InputError(f"image {v!r} outside 1..{h}")
             if v in seen:
                 raise InputError(f"image {v} appears twice")
             seen.add(v)
+        self.images = images
 
     @property
     def h(self) -> int:
@@ -67,20 +67,17 @@ class Permutation:
     def one_line(self) -> str:
         return ",".join(str(v) for v in self.images)
 
-    def __str__(self) -> str:
-        return self.one_line()
 
-
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """Codimension c and dimension d; h = c + d."""
 
-    c: int
-    d: int
+    __slots__ = ("c", "d")
 
-    def __post_init__(self):
-        if self.c < 0 or self.d < 0 or self.c + self.d == 0:
-            raise InputError(f"signature ({self.c},{self.d}) needs c,d >= 0 and c+d > 0")
+    def __init__(self, c: int, d: int):
+        if c < 0 or d < 0 or c + d == 0:
+            raise InputError(f"signature ({c},{d}) needs c,d >= 0 and c+d > 0")
+        self.c = c
+        self.d = d
 
     @property
     def h(self) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import InputError
-from .graph_oracle import VerificationMismatch, cross_check
+from .graph_oracle import Mismatch, cross_check
 from .permutations import Permutation, Signature
 from .rng import SplitMix64
 
@@ -59,7 +59,7 @@ def random_cases(samples: int, max_h: int, seed: int) -> Iterator[tuple[Permutat
 
 def verification_sweep(
     samples: int, max_h: int, max_level: int, seed: int
-) -> tuple[VerificationMismatch | None, ...]:
+) -> tuple[Mismatch | None, ...]:
     """Cross-check every case of the seeded stream: one entry per case,
     its first mismatch or None where the case passed."""
     _check_sweep(samples, max_h, max_level)

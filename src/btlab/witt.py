@@ -39,11 +39,12 @@ full addition and multiplication tables from the laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError
 from .polynomials import Poly, PolyRing
+from .values import Value
 
 
 #: Primes are accepted below this bound, where the Miller-Rabin bases
@@ -210,18 +211,15 @@ def negation_polynomials(p: int, n: int) -> tuple[Poly, ...]:
 # -- truncated Witt vectors over F_p ------------------------------------------
 
 
-@dataclass(frozen=True)
-class WittVec:
-    p: int
-    components: tuple[int, ...]
+class WittVec(Value):
+    __slots__ = ("p", "components")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if len(self.components) < 1:
+    def __init__(self, p: int, components: tuple[int, ...]):
+        check_prime(p)
+        if len(components) < 1:
             raise InputError("Witt vector needs at least one component")
-        object.__setattr__(
-            self, "components", tuple(a % self.p for a in self.components)
-        )
+        self.p = p
+        self.components = tuple(a % p for a in components)
 
     @property
     def n(self) -> int:
@@ -300,10 +298,7 @@ def teichmuller(a: int, p: int, n: int) -> WittVec:
     return WittVec(p, (a,) + (0,) * (n - 1))
 
 
-@dataclass(frozen=True)
-class RingIsoReport:
-    p: int
-    n: int
+class RingIsoReport(NamedTuple):
     size: int
     passed: bool
     failure: str | None = None
@@ -331,13 +326,11 @@ def ring_iso_table(p: int, n: int) -> RingIsoReport:
     for _ in range(size - 1):
         vec_of.append(law_apply(add, vec_of[-1], one, p))
     if len(set(vec_of)) != size:
-        return RingIsoReport(p, n, size, False, "m -> m*tau(1) is not injective")
+        return RingIsoReport(size, False, "m -> m*tau(1) is not injective")
     for a, x in enumerate(vec_of):
         for b, y in enumerate(vec_of):
             if law_apply(add, x, y, p) != vec_of[(a + b) % size]:
-                return RingIsoReport(p, n, size, False, f"addition table fails at ({a},{b})")
+                return RingIsoReport(size, False, f"addition table fails at ({a},{b})")
             if law_apply(mul, x, y, p) != vec_of[a * b % size]:
-                return RingIsoReport(
-                    p, n, size, False, f"multiplication table fails at ({a},{b})"
-                )
-    return RingIsoReport(p, n, size, True)
+                return RingIsoReport(size, False, f"multiplication table fails at ({a},{b})")
+    return RingIsoReport(size, True)

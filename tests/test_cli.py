@@ -2,7 +2,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import string
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import btlab
 from btlab import cli
 from btlab.cli import main
 from btlab.graph_oracle import Cycle
@@ -354,15 +358,15 @@ def test_json_writer_refuses_other_types_and_keys(value):
 
 
 def test_json_writer_makes_no_call_per_leaf(monkeypatch):
-    """A list of ints, of strs or of int pairs is written in the call that
-    reaches it, not one call per entry."""
+    """A list of ints, of strs, of int pairs or of ``Cycle`` records is
+    written in the call that reaches it, not one call per entry."""
     calls = []
     real = cli._write
     monkeypatch.setattr(cli, "_write", lambda o, *rest: calls.append(o) or real(o, *rest))
     doc = {"points": [(i, -i) for i in range(500)], "a": list(range(500)),
-           "classes": ["FV"] * 500}
+           "classes": ["FV"] * 500, "cycles": [Cycle(i, 2 * i) for i in range(500)]}
     assert cli._json(doc) == json.dumps(doc, indent=2)
-    assert len(calls) == 4
+    assert len(calls) == 5
 
 
 S5 = [",".join(map(str, p)) for p in itertools.permutations(range(1, 6))]
@@ -539,3 +543,41 @@ def test_any_perm_text_is_accepted_or_refused_in_one_line(command, c, d, text):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+def python(*args, **kwargs):
+    """A fresh interpreter that imports the btlab these tests import."""
+    env = {**os.environ, "PYTHONPATH": str(Path(btlab.__file__).parent.parent)}
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+def python_m_btlab(*argv):
+    proc = python("-m", "btlab", *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    return proc.returncode, out.decode("utf-8"), err.decode("utf-8")
+
+
+def test_python_m_btlab_prints_a_document_and_refuses_bad_input():
+    assert python_m_btlab("kraft-type", *H7) == (
+        0, (GOLDEN / "kraft_h7.txt").read_text(encoding="utf-8"), "")
+    assert python_m_btlab("witt-polys", "--p", "2", "--len", "0") == (
+        2, "", "error: --len must be >= 1, got 0\n")
+
+
+def test_a_reader_that_stops_early_gets_no_traceback():
+    """The (8,8) class list is about 220 KB, more than a pipe holds, so
+    writing it fails once the reader has closed its end after one line."""
+    proc = python("-m", "btlab", "enumerate-bt1", "--c", "8", "--d", "8",
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"FFFFFFFFVVVVVVVV\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    proc = python("-c", "import sys, btlab.cli; print(sorted({'dataclasses', 'inspect'}"
+                  " & set(sys.modules)))", stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (0, b"[]\n")

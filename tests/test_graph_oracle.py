@@ -14,7 +14,7 @@ from btlab.graph_oracle import (
     MAX_ORACLE_VERTICES,
     Cycle,
     FlatGraph,
-    VerificationMismatch,
+    Mismatch,
     build_gamma_graph,
     classify_components,
     cross_check,
@@ -560,17 +560,11 @@ class TestCrossCheck:
         assert checks == (None,) * 50
 
     def test_cycle_weight_mismatch_is_reported(self, heavier_cycles):
-        mismatch = cross_check(parse_permutation("(1 2 3 4)"), Signature(2, 2), 2)
-        assert mismatch is not None
+        perm = parse_permutation("(1 2 3 4)")
+        mismatch = cross_check(perm, Signature(2, 2), 2)
+        assert mismatch == Mismatch(perm, 2, 2, 1, "cycle-weight", 4, 5)
         assert (mismatch.m, mismatch.kind) == (1, "cycle-weight")
         assert (mismatch.formula_value, mismatch.oracle_value) == (4, 5)
-
-    def test_mismatch_raises_with_details(self):
-        assert cross_check(parse_permutation("(1 2 3 4)"), Signature(2, 2), 3) is None
-        exc = VerificationMismatch(
-            parse_permutation("(1 2)"), 1, 1, 2, "dimension", 1, 0
-        )
-        assert "m=2" in str(exc) and "formula=1" in str(exc)
 
 
 class TestOracleAgainstFormulas:

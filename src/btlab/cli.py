@@ -157,7 +157,7 @@ def cmd_oracle(args) -> dict:
         "exponent": result.exponent,
         "per_orbit": per_orbit,
     }
-    doc["verdict"] = "fail" if level_mismatch(report, result, (level,)) else "pass"
+    doc["verdict"] = "fail" if level_mismatch(report, result) else "pass"
     return doc
 
 

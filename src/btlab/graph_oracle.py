@@ -338,14 +338,15 @@ def oracle_components(p: Permutation, sig: Signature, m: int) -> OracleResult:
 
 
 def level_mismatch(
-    report: InvariantReport, result: OracleResult, levels: Sequence[int]
+    report: InvariantReport, result: OracleResult
 ) -> tuple[int, str, int, int] | None:
     """The first disagreement between ``report`` (an ``invariant_report``)
-    and the oracle ``result`` at the increasing ``levels``, which both
-    reach, as (m, kind, formula value, oracle value).  At each m: a cycle
-    closed by level m whose weight is not the size of its orbit, then the
-    dimension against gamma(m), then the exponent against c_m.  None when
-    every level agrees."""
+    and the oracle ``result`` at every level m = 1..M that ``result``
+    holds, which ``report`` reaches too, as (m, kind, formula value, oracle
+    value); `oracle` and `verify` both pass exactly when this is None.  At
+    each m: a cycle closed by level m whose weight is not the size of its
+    orbit, then the dimension against gamma(m), then the exponent against
+    c_m."""
     # the first of the bad cycles that close earliest
     bad = min(
         (
@@ -357,7 +358,7 @@ def level_mismatch(
         key=lambda found: found[0],
         default=None,
     )
-    for m in levels:
+    for m in range(1, len(result.dimensions) + 1):
         if bad and bad[0] <= m:
             return m, "cycle-weight", bad[1], bad[2]
         if result.dimensions[m - 1] != report.gamma[m - 1]:
@@ -374,5 +375,5 @@ def cross_check(p: Permutation, sig: Signature, max_level: int) -> Mismatch | No
     counterexample as a ``Mismatch``, None when every level agrees."""
     report = invariant_report(p, sig, max_level)
     result = classify_components(build_gamma_graph(p, sig, max_level))
-    found = level_mismatch(report, result, range(1, max_level + 1))
+    found = level_mismatch(report, result)
     return Mismatch(p, sig.c, sig.d, *found) if found else None

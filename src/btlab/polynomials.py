@@ -32,6 +32,8 @@ class PolyRing:
     ``max_exponent`` bounds every exponent that can appear in any value
     of this ring (callers know their degree growth); the packing width
     leaves one spare bit so sums formed inside a product cannot carry.
+    Rings compare by identity: values of two separately built rings do
+    not mix, even when their names agree.
     """
 
     def __init__(self, names: Sequence[str], max_exponent: int):
@@ -55,16 +57,6 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing({', '.join(self.names)}; max_exponent={self.max_exponent})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and self.names == other.names
-            and self.bits == other.bits
-        )
-
-    def __hash__(self):
-        return hash((self.names, self.bits))
 
     # -- exponent packing ------------------------------------------------
 
@@ -111,7 +103,7 @@ class Poly:
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise ValueError("polynomials from different rings")
 
     def _merge(self, other: "Poly", sign: int) -> "Poly":
@@ -253,11 +245,8 @@ class Poly:
 
     def __eq__(self, other):
         return (
-            isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
+            isinstance(other, Poly) and self.ring is other.ring and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)

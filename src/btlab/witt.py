@@ -12,7 +12,8 @@ law S, product law P and negation law I are the unique solutions of
 
 and have integer coefficients even though each recursion step divides by
 p^l.  We solve the recursions with exact integer arithmetic and assert
-the divisibility instead of assuming it.
+the divisibility instead of assuming it.  All three laws of length n
+are solved in one ring, Z[x_0..x_{n-1}, y_0..y_{n-1}], behind one guard.
 
 Vector arithmetic over F_p (truncated length n) goes through Z/p^n:
 
@@ -21,11 +22,13 @@ Vector arithmetic over F_p (truncated length n) goes through Z/p^n:
 is a ring isomorphism W_n(F_p) -> Z/p^n (tau(a) is the Teichmueller
 representative of a), so witt_add, witt_mul and witt_neg add, multiply
 or negate residues and peel the digits back off: a = z mod p, then
-z <- (z - tau(a)) / p.  The laws are kept as the reference that this
-route is checked against: law_apply evaluates them componentwise, and
-it is the only place they are evaluated; ring_iso_table and the p-fold
-sum of `witt-check` use it.  Frobenius, Verschiebung, multiplication by
-p and the Teichmueller lift act by the componentwise rules
+z <- (z - tau(a)) / p.  This route builds no law, so the law guards do
+not bound it; it has its own bound on the modulus, MAX_RESIDUE_BITS.
+The laws are kept as the reference that this route is checked against:
+law_apply evaluates them componentwise, and it is the only place they
+are evaluated; ring_iso_table and the p-fold sum of `witt-check` use it.
+Frobenius, Verschiebung, multiplication by p and the Teichmueller lift
+act by the componentwise rules
 
     F(x_0, x_1, ...) = (x_0^p, x_1^p, ...)
     V(x_0, x_1, ...) = (0, x_0, x_1, ...)      (top component dropped)
@@ -90,15 +93,24 @@ def check_prime(p: int) -> None:
 #: tables with more pairs than this (p^n above 100).
 MAX_TABLE_PAIRS = 10_000
 #: The laws of length n reach exponent p^(n-1) (in x_0 and y_0); building
-#: them is refused above this.  Building and rendering `witt-polys` in one
-#: process (Python 3.11, 2-vCPU Linux) takes 0.09 s at (17,3), 0.15 s at
-#: (19,3) and 0.30 s at (23,3); (10007,2) takes 8.3 s and prints 22 MB.
+#: them is refused above this.  The law guards bound only law building
+#: (`witt-polys`, the ring table and the p-fold sum of `witt-check`);
+#: vector arithmetic has its own bound, MAX_RESIDUE_BITS.  Building and
+#: rendering `witt-polys` in one process (Python 3.11, 2-vCPU Linux) takes
+#: 0.09 s at (17,3), 0.15 s at (19,3) and 0.30 s at (23,3); (10007,2)
+#: takes 8.3 s and prints 22 MB.
 MAX_LAW_WEIGHT = 300
 #: Building is also refused when the top sum law has more candidate
 #: monomials than this (see _law_monomials): (3,5) has 115,602 and a cold
 #: `witt-polys` takes 2.7 s, while (2,7) has 1,357,608 and does not
 #: finish in 150 s.
 MAX_LAW_MONOMIALS = 200_000
+#: Vector arithmetic through Z/p^n is refused when n * bit_length(p), a
+#: bound on the bits of p^n, is above this.  Its cost grows about as the
+#: cube of that product: the slowest admitted cold `witt-eval` found,
+#: (7,170) and (31,102), takes 0.58 s (Python 3.11, 2-vCPU Linux), and
+#: (3,256) 0.41 s; (7,256) at 768 takes 2.4 s and (7,341) at 1023 6.5 s.
+MAX_RESIDUE_BITS = 512
 
 
 def _power_within(p: int, k: int, limit: int) -> int | None:
@@ -125,10 +137,8 @@ def _law_monomials(p: int, n: int) -> int:
     return ways[weight]
 
 
-@lru_cache(maxsize=None)
 def _check_law(p: int, n: int) -> None:
-    """Validate (p, n) before any law of that length is built or any
-    vector of that length is sent through Z/p^n."""
+    """Validate (p, n) before any law of that length is built."""
     check_prime(p)
     if n < 1:
         raise InputError("length must be >= 1")
@@ -147,13 +157,10 @@ def _check_law(p: int, n: int) -> None:
 
 @lru_cache(maxsize=None)
 def _xy_ring(p: int, n: int) -> PolyRing:
+    """The one ring of every law of length n; the negation laws leave the
+    y variables unused."""
     names = [f"x_{i}" for i in range(n)] + [f"y_{i}" for i in range(n)]
     return PolyRing(names, max_exponent=p ** max(n - 1, 1))
-
-
-@lru_cache(maxsize=None)
-def _x_ring(p: int, n: int) -> PolyRing:
-    return PolyRing([f"x_{i}" for i in range(n)], max_exponent=p ** max(n - 1, 1))
 
 
 def _ghost_of_vars(ring: PolyRing, p: int, l: int, offset: int) -> Poly:
@@ -164,12 +171,16 @@ def _ghost_of_vars(ring: PolyRing, p: int, l: int, offset: int) -> Poly:
     return acc
 
 
-def _solve_law(p: int, n: int, ring: PolyRing, rhs_for_level) -> tuple[Poly, ...]:
-    """Solve w_l(result) = rhs(l) for l = 0..n-1, asserting integrality
-    and, once per finished law, that no exponent outgrew the ring."""
+def _solve_law(p: int, n: int, combine) -> tuple[Poly, ...]:
+    """The laws of length n with w_l(law) = combine(w_l(x), w_l(y)) for
+    l = 0..n-1, solved in _xy_ring(p, n) once the law guard admits
+    (p, n).  Asserts integrality and, once per finished law, that no
+    exponent outgrew the ring."""
+    _check_law(p, n)
+    ring = _xy_ring(p, n)
     out: list[Poly] = []
     for l in range(n):
-        rhs = rhs_for_level(l)
+        rhs = combine(_ghost_of_vars(ring, p, l, 0), _ghost_of_vars(ring, p, l, n))
         for i in range(l):
             rhs = rhs - (out[i] ** (p ** (l - i))).scale(p**i)
         out.append(rhs.divexact(p**l))
@@ -181,31 +192,19 @@ def _solve_law(p: int, n: int, ring: PolyRing, rhs_for_level) -> tuple[Poly, ...
 @lru_cache(maxsize=None)
 def sum_polynomials(p: int, n: int) -> tuple[Poly, ...]:
     """S_0..S_{n-1} with w_l(S) = w_l(x) + w_l(y)."""
-    _check_law(p, n)
-    ring = _xy_ring(p, n)
-    return _solve_law(
-        p, n, ring,
-        lambda l: _ghost_of_vars(ring, p, l, 0) + _ghost_of_vars(ring, p, l, n),
-    )
+    return _solve_law(p, n, lambda wx, wy: wx + wy)
 
 
 @lru_cache(maxsize=None)
 def product_polynomials(p: int, n: int) -> tuple[Poly, ...]:
     """P_0..P_{n-1} with w_l(P) = w_l(x) * w_l(y)."""
-    _check_law(p, n)
-    ring = _xy_ring(p, n)
-    return _solve_law(
-        p, n, ring,
-        lambda l: _ghost_of_vars(ring, p, l, 0) * _ghost_of_vars(ring, p, l, n),
-    )
+    return _solve_law(p, n, lambda wx, wy: wx * wy)
 
 
 @lru_cache(maxsize=None)
 def negation_polynomials(p: int, n: int) -> tuple[Poly, ...]:
     """I_0..I_{n-1} with w_l(I) = -w_l(x); for odd p this is just -x_l."""
-    _check_law(p, n)
-    ring = _x_ring(p, n)
-    return _solve_law(p, n, ring, lambda l: -_ghost_of_vars(ring, p, l, 0))
+    return _solve_law(p, n, lambda wx, wy: -wx)
 
 
 # -- truncated Witt vectors over F_p ------------------------------------------
@@ -239,7 +238,11 @@ def _match(x: WittVec, y: WittVec) -> None:
 def _residue(x: WittVec) -> int:
     """The image of x in Z/p^n: sum p^i * tau(x_i), not reduced mod p^n."""
     p, n = x.p, x.n
-    _check_law(p, n)
+    if n * p.bit_length() > MAX_RESIDUE_BITS:
+        raise InputError(
+            f"n * bit_length(p) must be at most {MAX_RESIDUE_BITS} for arithmetic "
+            f"in Z/p^n, p={p}, n={n} has {n * p.bit_length()}"
+        )
     q, e = p**n, p ** (n - 1)
     return sum(p**i * pow(a, e, q) for i, a in enumerate(x.components))
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import btlab
-from btlab import cli
+from btlab import cli, graph_oracle
 from btlab.cli import main
 from btlab.graph_oracle import Cycle
 
@@ -162,6 +162,25 @@ class TestOracleCommand:
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+    def test_fault_below_the_top_level_fails_the_verdict(self, capsys, monkeypatch):
+        # the level-1 dimension is off by one, while the level-3 numbers
+        # that the document prints stay right
+        real = graph_oracle.classify_components
+
+        def classify(g):
+            res = real(g)
+            return res._replace(dimensions=(res.dimensions[0] + 1,) + res.dimensions[1:])
+
+        monkeypatch.setattr(graph_oracle, "classify_components", classify)
+        code, out, _ = run(
+            capsys, "oracle", "--c", "2", "--d", "2", "--perm", "(1 2 3 4)",
+            "--level", "3", "--format", "json",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdict"] == "fail"
+        assert (doc["oracle"]["dimension"], doc["oracle"]["exponent"]) == (4, 32)
+
     def test_cycle_weight_fault_fails_the_verdict(self, capsys, heavier_cycles):
         code, out, _ = run(
             capsys, "oracle", "--c", "2", "--d", "2", "--perm", "(1 2 3 4)",
@@ -248,6 +267,19 @@ class TestWittCommands:
         assert doc["sum"] == [0, 1, 0]
         assert doc["product"] == [1, 0, 0]
         assert doc["neg_lhs"] == [1, 1, 1]
+
+    def test_witt_eval_beyond_the_law_guard(self, capsys):
+        # p^(n-1) = 10007 is over the law guard, but Z/p^2 has 27 bits;
+        # sum_1 = 1 + 1 + (2 - 2^p)/p mod p, product_1 = 1 + 1 + p mod p
+        code, out, err = run(
+            capsys, "witt-eval", "--p", "10007", "--len", "2",
+            "--lhs", "1,1", "--rhs", "1,1", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["sum"] == [2, 924]
+        assert doc["product"] == [1, 2]
+        assert doc["neg_lhs"] == [10006, 10006]
 
     def test_witt_eval_length_error(self, capsys):
         code, _, err = run(
@@ -450,8 +482,10 @@ class TestArgumentErrors:
             # (p^n)^2 ring-table pairs: 9.6e9 and 1e10
             ["witt-check", "--p", "313", "--len", "2"],
             ["witt-check", "--p", "99991", "--len", "1"],
-            # p^(n-1) = 10007, and (2,7) with 1.4e6 candidate monomials
-            ["witt-eval", "--p", "10007", "--len", "2", "--lhs", "1,1", "--rhs", "1,1"],
+            # a Z/p^n modulus of 14 * 37 = 518 bits, over 512
+            ["witt-eval", "--p", "10007", "--len", "37", "--lhs", ",".join(["1"] * 37),
+             "--rhs", ",".join(["1"] * 37)],
+            # (2,7) with 1.4e6 candidate monomials
             ["witt-polys", "--p", "2", "--len", "7"],
             # binomial(28,14) classes, and h beyond the height cap
             ["enumerate-bt1", "--c", "14", "--d", "14"],
@@ -470,6 +504,11 @@ class TestArgumentErrors:
             ["invariants", "--c", "250", "--d", "250", "--perm", "(1 2)", "--max-level", "1"],
             ["invariants", "--c", "500", "--d", "500", "--perm", "(1 2 3 4 5)",
              "--max-level", "4"],
+            # a Z/p^n modulus of 3 * 257 = 514 bits, and the laws of
+            # p^(n-1) = 10007, which witt-eval no longer builds
+            ["witt-eval", "--p", "3", "--len", "257", "--lhs", ",".join(["1"] * 257),
+             "--rhs", ",".join(["2"] * 257)],
+            ["witt-polys", "--p", "10007", "--len", "2"],
         ],
     )
     def test_bad_numeric_flags_exit_two(self, capsys, argv):
@@ -499,6 +538,10 @@ class TestArgumentErrors:
             (["witt-polys", "--p", "2", "--len", "0"], "--len must be >= 1, got 0"),
             (["invariants", "--c", "1", "--d", "1", "--perm", "(1 2)", "--max-level", "0"],
              "--max-level must be >= 1, got 0"),
+            (["witt-eval", "--p", "10007", "--len", "37", "--lhs", ",".join(["1"] * 37),
+              "--rhs", ",".join(["1"] * 37)],
+             "n * bit_length(p) must be at most 512 for arithmetic in Z/p^n, "
+             "p=10007, n=37 has 518"),
         ],
     )
     def test_refusal_is_one_error_line(self, capsys, argv, refusal):

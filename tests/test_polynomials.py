@@ -192,6 +192,14 @@ def test_mixed_ring_arithmetic_rejected(ring):
         ring.var(0) + other.var(0)
 
 
+def test_rings_with_equal_names_do_not_mix(ring):
+    twin = PolyRing(ring.names, max_exponent=ring.max_exponent)
+    for op in (Poly.__add__, Poly.__sub__, Poly.__mul__):
+        with pytest.raises(ValueError, match="^polynomials from different rings$"):
+            op(ring.var(0), twin.var(0))
+    assert ring.var(0) != twin.var(0)
+
+
 # Exponents up to 3 per factor keep a product of three factors within the
 # ring's cap of 9.
 cubic_ring = PolyRing(["u", "v", "w"], max_exponent=9)

@@ -46,7 +46,7 @@ def reference_ghost_polynomial(p, l):
     check_prime(p)
     if l < 0:
         raise ValueError("ghost index must be >= 0")
-    return witt._ghost_of_vars(witt._x_ring(p, l + 1), p, l, 0)
+    return witt._ghost_of_vars(witt._xy_ring(p, l + 1), p, l, 0)
 
 
 def reference_ghost_apply(polys, p, l):
@@ -422,14 +422,6 @@ def sizes_up_to(bound):
             for n in range(1, bound.bit_length()) if p**n <= bound]
 
 
-def admitted(p, n):
-    try:
-        witt._check_law(p, n)
-    except InputError:
-        return False
-    return True
-
-
 class TestResidueRoute:
     @pytest.mark.parametrize("p,n", CROSS_ROUTE_SIZES)
     @settings(max_examples=30, deadline=None)
@@ -454,13 +446,13 @@ class TestResidueRoute:
                     assert residue_route(x, y) == law_route(x, y), (x, y)
 
     def test_conversion_round_trips_on_all_of_z_mod_p_to_the_n(self):
-        # every size the guard admits with p^n <= 10^4 (the conversion is
-        # refused with the laws, so larger lengths never reach it), except
-        # n = 1 above p = 1000: there tau is a -> a, and the 1,229 primes
-        # below 10^4 alone would take half a minute
-        sizes = [(p, n) for p, n in sizes_up_to(10_000)
-                 if admitted(p, n) and (n > 1 or p < 1000)]
-        assert (17, 3) in sizes and (3, 5) in sizes and (5, 4) in sizes and (997, 1) in sizes
+        # every size with p^n <= 10^4, sizes the law guard refuses such as
+        # (19,3), (7,4) and (2,7) included, except n = 1 above p = 1000:
+        # there tau is a -> a, and the 1,229 primes below 10^4 alone would
+        # take half a minute
+        sizes = [(p, n) for p, n in sizes_up_to(10_000) if n > 1 or p < 1000]
+        for size in ((17, 3), (3, 5), (5, 4), (997, 1), (19, 3), (7, 4), (2, 7), (2, 13)):
+            assert size in sizes
         for p, n in sizes:
             q = p**n
             for z in range(q):
@@ -479,11 +471,33 @@ class TestResidueRoute:
             out = capsys.readouterr().out
             assert out == (GOLDEN / f"witt_eval_p3_n3.{ext}").read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("p,n", [(10007, 2), (19, 3), (7, 4), (2, 7)])
-    def test_refused_with_the_law_guard(self, p, n):
+    @settings(max_examples=50, deadline=None)
+    @given(x=witt_vecs(10007, 2), y=witt_vecs(10007, 2))
+    def test_matches_the_closed_forms_where_no_law_is_built(self, x, y):
+        # S_1 = x_1 + y_1 + (x_0^p + y_0^p - (x_0 + y_0)^p) / p and
+        # P_1 = x_0^p y_1 + x_1 y_0^p + p x_1 y_1, which is x_0 y_1 + x_1 y_0 mod p
+        p, q = 10007, 10007**2
+        (x0, x1), (y0, y1) = x.components, y.components
+        carry = (pow(x0, p, q) + pow(y0, p, q) - pow(x0 + y0, p, q)) % q // p
+        assert witt_add(x, y) == WittVec(p, (x0 + y0, x1 + y1 + carry))
+        assert witt_mul(x, y) == WittVec(p, (x0 * y0, x0 * y1 + x1 * y0))
+
+    @pytest.mark.parametrize("p,n", [(10007, 2), (19, 3), (7, 4), (2, 7), (3, 256),
+                                     (2**61 - 1, 8), (2**64 - 59, 7)])
+    def test_admits_sizes_the_law_guard_refuses(self, p, n):
+        assert n * p.bit_length() <= witt.MAX_RESIDUE_BITS
+        with pytest.raises(InputError, match=LAW_TOO_LARGE):
+            sum_polynomials(p, n)
+        x = WittVec(p, tuple(range(1, n + 1)))
+        assert witt_add(x, witt_neg(x)) == WittVec(p, (0,) * n)
+        assert witt_mul(x, teichmuller(1, p, n)) == x
+
+    @pytest.mark.parametrize("p,n", [(3, 257), (2, 257), (10007, 37), (2**64 - 59, 9)])
+    def test_refuses_moduli_above_the_bound(self, p, n):
+        assert n * p.bit_length() > witt.MAX_RESIDUE_BITS
         x = WittVec(p, (1,) * n)
         for op in (lambda: witt_add(x, x), lambda: witt_mul(x, x), lambda: witt_neg(x)):
-            with pytest.raises(InputError, match=LAW_TOO_LARGE):
+            with pytest.raises(InputError, match=RESIDUE_TOO_LARGE):
                 op()
 
 
@@ -558,16 +572,24 @@ class TestLawPowers:
                 law.cache_clear()
 
     def test_overgrown_exponent_fails_the_solve(self):
-        ring = witt._x_ring(3, 2)
+        ring = witt._xy_ring(3, 1)
         overgrown = ring.var(0, exponent=ring.max_exponent) ** 3
         with pytest.raises(VerificationError, match="^an exponent of .* exceeds max_exponent 3$"):
-            witt._solve_law(3, 1, ring, lambda l: overgrown)
+            witt._solve_law(3, 1, lambda wx, wy: overgrown)
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (13, 3)])
+    def test_every_law_of_a_length_shares_one_ring(self, p, n):
+        ring = negation_polynomials(p, n)[0].ring
+        assert ring is sum_polynomials(p, n)[0].ring
+        assert ring is product_polynomials(p, n)[0].ring
+        assert ring is witt._xy_ring(p, n)
 
 
 LAW_TOO_LARGE = (
     r"^p\^\(n-1\) must be at most 300 to build the laws"
     r"|^the candidate monomials of the top law must be at most 200000"
 )
+RESIDUE_TOO_LARGE = r"^n \* bit_length\(p\) must be at most 512 for arithmetic in Z/p\^n, "
 
 
 class TestLawGuard:

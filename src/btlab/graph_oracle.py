@@ -56,7 +56,8 @@ from .permutations import Permutation, Signature
 #: ``build_gamma_graph`` expands: 11 bytes a vertex while building and 12
 #: while classifying (the edge levels take 4), so at the cap (a 50-cycle at
 #: level 400) 12 MB at the peak and 0.3 s to build and classify on a Xeon
-#: with Python 3.11.
+#: with Python 3.11.  A ``verify`` sweep's cases share this budget: it
+#: refuses samples * max_h^2 * max_level above it.
 MAX_ORACLE_VERTICES = 1_000_000
 
 

@@ -208,17 +208,10 @@ def pair_orbit_count(p: Permutation) -> int:
     )
 
 
-def epsilon_value(i: int, j: int, d: int) -> int:
-    if i <= d < j:
-        return 1
-    if j <= d < i:
-        return -1
-    return 0
-
-
 def epsilon_sequence(o: ProductOrbit, sig: Signature) -> EpsilonSeq:
-    h = sig.h
+    """The region of each point of o: +1 on J_+, -1 on J_-, 0 on J_0."""
+    h, d = sig.h, sig.d
     for i, j in o:
         if not (1 <= i <= h and 1 <= j <= h):
             raise InputError(f"orbit point ({i},{j}) outside 1..{h} square")
-    return tuple(epsilon_value(i, j, sig.d) for i, j in o)
+    return tuple((i <= d) - (j <= d) for i, j in o)

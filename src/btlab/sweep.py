@@ -5,19 +5,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import InputError
-from .graph_oracle import Mismatch, cross_check
+from .graph_oracle import MAX_ORACLE_VERTICES, Mismatch, cross_check
+from .invariants import MAX_LEVEL
 from .permutations import Permutation, Signature
 from .rng import SplitMix64
 
-#: A sweep checks levels 1..max_level of every case.  A case of degree h
-#: builds one graph of h^2 * max_level vertices and reads every level from
-#: one walk of it.  The bound prices each level as a walk of its own, at
-#: samples * max_h^2 * max_level * (max_level + 1) / 2 vertices, more than
-#: a sweep walks, so that the sweeps it has always refused stay refused:
-#: (2, 80, 60) prices at 2.3e7, while two cases of h = 80 at level 60 take
-#: 0.25 s on a Xeon with Python 3.11.
-MAX_SWEEP_VERTICES = 1_000_000
-#: Each case also has a fixed cost of about 0.1 ms, which the vertex bound
+#: Each case has a fixed cost of about 0.1 ms, which the vertex budget
 #: does not see when h is small: 10,000 cases at max_h = 2 take 1.0 s.
 MAX_SWEEP_SAMPLES = 10_000
 
@@ -33,11 +26,13 @@ def _check_sweep(samples: int, max_h: int, max_level: int) -> None:
         raise InputError(
             f"verify samples must be <= {MAX_SWEEP_SAMPLES}, got {samples}"
         )
-    vertices = samples * max_h**2 * max_level * (max_level + 1) // 2
-    if vertices > MAX_SWEEP_VERTICES:
+    if max_level > MAX_LEVEL:
+        raise InputError(f"verify max_level must be <= {MAX_LEVEL}, got {max_level}")
+    vertices = samples * max_h**2 * max_level
+    if vertices > MAX_ORACLE_VERTICES:
         raise InputError(
-            f"verify graph vertices (samples * max_h^2 * max_level(max_level+1)/2) "
-            f"must be <= {MAX_SWEEP_VERTICES}, got {vertices}"
+            f"verify graph vertices (samples * max_h^2 * max_level) "
+            f"must be <= {MAX_ORACLE_VERTICES}, got {vertices}"
         )
 
 

@@ -36,7 +36,9 @@ act by the componentwise rules
     tau(a) = (a, 0, ..., 0)
 
 and ring_iso_table checks the isomorphism with Z/p^n by building the
-full addition and multiplication tables from the laws.
+full addition and multiplication tables from the laws on the vectors
+_vector(m), m in Z/p^n, so it compares the laws with the Z/p^n route on
+every pair of W_n(F_p).
 """
 
 from __future__ import annotations
@@ -310,9 +312,11 @@ class RingIsoReport(NamedTuple):
 def ring_iso_table(p: int, n: int) -> RingIsoReport:
     """Check W_n(F_p) = Z/p^n via the full addition/multiplication tables.
 
-    The witness map sends m to the m-fold Witt sum of tau(1); it must be
-    a bijection onto all p^n vectors and transport both ring tables.  Every
-    sum and product here evaluates the laws (law_apply), on plain tuples.
+    The witness map sends m to _vector(m), its digits in the Z/p^n route;
+    it must be a bijection onto all p^n vectors and transport both ring
+    tables.  Every sum and product here evaluates the laws (law_apply), on
+    plain tuples, so the tables compare the laws with that route on every
+    pair.
     """
     check_prime(p)
     if n < 1:
@@ -324,10 +328,7 @@ def ring_iso_table(p: int, n: int) -> RingIsoReport:
             f"p={p}, n={n} has more"
         )
     add, mul = sum_polynomials(p, n), product_polynomials(p, n)
-    one = (1,) + (0,) * (n - 1)
-    vec_of = [(0,) * n]
-    for _ in range(size - 1):
-        vec_of.append(law_apply(add, vec_of[-1], one, p))
+    vec_of = [_vector(m, p, n).components for m in range(size)]
     if len(set(vec_of)) != size:
         return RingIsoReport(size, False, "m -> m*tau(1) is not injective")
     for a, x in enumerate(vec_of):

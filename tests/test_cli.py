@@ -201,6 +201,15 @@ class TestVerifyCommand:
         assert doc["verdict"] == "pass"
         assert doc["failures"] == []
 
+    def test_sweep_within_the_vertex_budget_passes(self, capsys):
+        # 2 * 80^2 * 60 = 768,000 vertices, within the oracle's budget
+        code, out, _ = run(
+            capsys, "verify", "--samples", "2", "--max-h", "80",
+            "--max-level", "60", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+
     def test_reproducible(self, capsys):
         args = ("verify", "--samples", "30", "--max-h", "5", "--seed", "3")
         _, a, _ = run(capsys, *args)
@@ -490,8 +499,8 @@ class TestArgumentErrors:
             # binomial(28,14) classes, and h beyond the height cap
             ["enumerate-bt1", "--c", "14", "--d", "14"],
             ["enumerate-bt1", "--c", "0", "--d", "1000000000"],
-            # verify: 2.3e7 graph vertices, and more cases than the cap
-            ["verify", "--samples", "2", "--max-h", "80", "--max-level", "60"],
+            # verify: 1,152,000 graph vertices, and more cases than the cap
+            ["verify", "--samples", "3", "--max-h", "80", "--max-level", "60"],
             ["verify", "--samples", "10001", "--max-h", "2", "--max-level", "1"],
             # witt-check identity samples
             ["witt-check", "--p", "2", "--len", "2", "--samples", "100000000"],
@@ -542,6 +551,9 @@ class TestArgumentErrors:
               "--rhs", ",".join(["1"] * 37)],
              "n * bit_length(p) must be at most 512 for arithmetic in Z/p^n, "
              "p=10007, n=37 has 518"),
+            # within the vertex budget, but above the report's level cap
+            (["verify", "--samples", "1", "--max-h", "2", "--max-level", "10001"],
+             "verify max_level must be <= 10000, got 10001"),
         ],
     )
     def test_refusal_is_one_error_line(self, capsys, argv, refusal):

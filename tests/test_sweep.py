@@ -67,14 +67,17 @@ class TestEpsilonStream:
 class TestVerificationSweep:
     @pytest.mark.parametrize(
         "samples,max_h,max_level",
-        # the CLI default, the benchmark sweeps, and the sweeps in the tests
-        [(200, 7, 4), (100, 12, 6), (15, 24, 8), (50, 6, 4), (40, 6, 3), (30, 5, 4)],
+        # the CLI default, the benchmark sweeps, the sweeps in the tests and
+        # CI, h = 100 at level 14, and the exact budget of 10^6 vertices
+        [(200, 7, 4), (100, 12, 6), (15, 24, 8), (50, 6, 4), (40, 6, 3), (30, 5, 4),
+         (2, 80, 60), (1, 100, 14), (1, 100, 100)],
     )
     def test_guard_admits_sweeps_in_use(self, samples, max_h, max_level):
         sweep._check_sweep(samples, max_h, max_level)
 
     @pytest.mark.parametrize(
-        "samples,max_h,max_level", [(2, 80, 60), (1, 100, 14), (10_001, 2, 1)]
+        # 1,152,000 and 1,010,000 vertices, and more cases than the cap
+        "samples,max_h,max_level", [(3, 80, 60), (1, 100, 101), (10_001, 2, 1)]
     )
     def test_guard_refuses_oversized_sweeps(self, samples, max_h, max_level):
         with pytest.raises(InputError, match=r"^verify (samples|graph vertices .*) must be <= "):

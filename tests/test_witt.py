@@ -374,6 +374,18 @@ class TestRingIsoTable:
         assert doc["identity_failures"]
         assert all("!= p*x" in msg for msg in doc["identity_failures"])
 
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (7, 2), (2, 5)])
+    def test_reversed_digit_map_fails_the_table(self, monkeypatch, p, n):
+        # the table sends m to _vector(m), so it compares the laws with the
+        # Z/p^n route, and a fault in that route's digits fails it
+        digits = witt._vector
+        monkeypatch.setattr(
+            witt, "_vector", lambda z, p, n: WittVec(p, digits(z, p, n).components[::-1])
+        )
+        report = ring_iso_table(p, n)
+        assert not report.passed
+        assert report.failure.startswith("addition table fails at (")
+
     def test_corrupted_product_law_fails_the_table(self, monkeypatch, capsys):
         corrupt_top_law(monkeypatch, product_polynomials)
         report = ring_iso_table(2, 3)

@@ -298,10 +298,10 @@ MAX_WITT_SAMPLES = 10_000
 
 def _p_fold_sum(x: WittVec) -> WittVec:
     """p*x as a p-fold Witt sum, by double-and-add over the sum law
-    (``law_apply``), read from ``witt`` at call time.  ``p_multiple``
-    applies the same componentwise rule as F(V(x)) and V(F(x)), and
-    ``witt_add`` goes through Z/p^n, so only this route lets those
-    identities test the sum law."""
+    (``law_apply``), read from ``witt`` at call time.  F is the identity
+    on W_n(F_p), so F(V(x)) and V(F(x)) are both V(x), as is ``p_multiple``;
+    ``witt_add`` goes through Z/p^n, so only this route lets those samples
+    test V(x) = p*x against the sum law."""
     p = x.p
     laws = witt.sum_polynomials(p, x.n)
     acc = x.components

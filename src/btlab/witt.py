@@ -22,17 +22,17 @@ Vector arithmetic over F_p (truncated length n) goes through Z/p^n:
 is a ring isomorphism W_n(F_p) -> Z/p^n (tau(a) is the Teichmueller
 representative of a), so witt_add, witt_mul and witt_neg add, multiply
 or negate residues and peel the digits back off: a = z mod p, then
-z <- (z - tau(a)) / p.  This route builds no law, so the law guards do
-not bound it; it has its own bound on the modulus, MAX_RESIDUE_BITS.
+z <- (z - tau(a)) / p, lifting each digit value once (_tau).  This route
+builds no law, so its guard is on the modulus instead: MAX_RESIDUE_BITS.
 The laws are kept as the reference that this route is checked against:
 law_apply evaluates them componentwise, and it is the only place they
 are evaluated; ring_iso_table and the p-fold sum of `witt-check` use it.
 Frobenius, Verschiebung, multiplication by p and the Teichmueller lift
 act by the componentwise rules
 
-    F(x_0, x_1, ...) = (x_0^p, x_1^p, ...)
-    V(x_0, x_1, ...) = (0, x_0, x_1, ...)      (top component dropped)
-    p(x_0, x_1, ...) = (0, x_0^p, x_1^p, ...)  (top component dropped)
+    F(x_0, x_1, ...) = (x_0^p, x_1^p, ...) = x     (a^p = a on F_p)
+    V(x_0, x_1, ...) = (0, x_0, x_1, ...)          (top component dropped)
+    p(x_0, x_1, ...) = (0, x_0^p, x_1^p, ...) = V(x)
     tau(a) = (a, 0, ..., 0)
 
 and ring_iso_table checks the isomorphism with Z/p^n by building the
@@ -94,24 +94,21 @@ def check_prime(p: int) -> None:
 #: ring_iso_table checks every pair of the p^n vectors, so it refuses
 #: tables with more pairs than this (p^n above 100).
 MAX_TABLE_PAIRS = 10_000
-#: The laws of length n reach exponent p^(n-1) (in x_0 and y_0); building
-#: them is refused above this.  The law guards bound only law building
-#: (`witt-polys`, the ring table and the p-fold sum of `witt-check`);
-#: vector arithmetic has its own bound, MAX_RESIDUE_BITS.  Building and
-#: rendering `witt-polys` in one process (Python 3.11, 2-vCPU Linux) takes
-#: 0.09 s at (17,3), 0.15 s at (19,3) and 0.30 s at (23,3); (10007,2)
-#: takes 8.3 s and prints 22 MB.
-MAX_LAW_WEIGHT = 300
-#: Building is also refused when the top sum law has more candidate
-#: monomials than this (see _law_monomials): (3,5) has 115,602 and a cold
-#: `witt-polys` takes 2.7 s, while (2,7) has 1,357,608 and does not
-#: finish in 150 s.
-MAX_LAW_MONOMIALS = 200_000
+#: The laws of length n are built only when the candidate monomials of
+#: the top law (see _law_monomials) times p^(n-1), a bound on its
+#: coefficient bits, are at most this; as there are more than p^(n-1)
+#: monomials, p^(n-1) above isqrt of it is refused uncounted.  It bounds
+#: only law building (`witt-polys`, the ring table and the p-fold sum of
+#: `witt-check`).  Cold `witt-polys` (Python 3.11, 2-vCPU Linux) takes
+#: about 4 s at (3,5) (9,363,762), 0.2 s at (19,3) (9,199,002, 1.45 MB)
+#: and 0.5 s at (3137,2) (9,850,180, 2.2 MB); (23,3) at 28,143,858 and
+#: (3163,2) at 10,014,058 are refused.
+MAX_LAW_SIZE = 10**7
 #: Vector arithmetic through Z/p^n is refused when n * bit_length(p), a
-#: bound on the bits of p^n, is above this.  Its cost grows about as the
-#: cube of that product: the slowest admitted cold `witt-eval` found,
-#: (7,170) and (31,102), takes 0.58 s (Python 3.11, 2-vCPU Linux), and
-#: (3,256) 0.41 s; (7,256) at 768 takes 2.4 s and (7,341) at 1023 6.5 s.
+#: bound on the bits of p^n, is above this.  Its cost is about one modular
+#: power per distinct digit (_tau): the slowest admitted cold `witt-eval`
+#: found, (509,56), takes 0.19 s, and (7,170) 0.07 s (Python 3.11, 2-vCPU
+#: Linux); above it, (7,341) takes 0.1 s but (10007,72) 1.1 s.
 MAX_RESIDUE_BITS = 512
 
 
@@ -144,16 +141,11 @@ def _check_law(p: int, n: int) -> None:
     check_prime(p)
     if n < 1:
         raise InputError("length must be >= 1")
-    if _power_within(p, n - 1, MAX_LAW_WEIGHT) is None:
+    weight = _power_within(p, n - 1, math.isqrt(MAX_LAW_SIZE))
+    if weight is None or _law_monomials(p, n) * weight > MAX_LAW_SIZE:
         raise InputError(
-            f"p^(n-1) must be at most {MAX_LAW_WEIGHT} to build the laws, "
-            f"got {p}^{n - 1}"
-        )
-    monomials = _law_monomials(p, n)
-    if monomials > MAX_LAW_MONOMIALS:
-        raise InputError(
-            f"the candidate monomials of the top law must be at most "
-            f"{MAX_LAW_MONOMIALS}, p={p}, n={n} has {monomials}"
+            f"the top law's candidate monomials times p^(n-1) must be at most "
+            f"{MAX_LAW_SIZE} to build the laws, p={p}, n={n} has more"
         )
 
 
@@ -237,6 +229,13 @@ def _match(x: WittVec, y: WittVec) -> None:
         raise InputError(f"length {x.n} vs {y.n}")
 
 
+@lru_cache(maxsize=4096)
+def _tau(a: int, p: int, n: int) -> int:
+    """a^(p^(n-1)) mod p^n; a vector has at most 73 distinct digits under
+    MAX_RESIDUE_BITS, and the bound keeps large p from growing the cache."""
+    return pow(a, p ** (n - 1), p**n)
+
+
 def _residue(x: WittVec) -> int:
     """The image of x in Z/p^n: sum p^i * tau(x_i), not reduced mod p^n."""
     p, n = x.p, x.n
@@ -245,20 +244,18 @@ def _residue(x: WittVec) -> int:
             f"n * bit_length(p) must be at most {MAX_RESIDUE_BITS} for arithmetic "
             f"in Z/p^n, p={p}, n={n} has {n * p.bit_length()}"
         )
-    q, e = p**n, p ** (n - 1)
-    return sum(p**i * pow(a, e, q) for i, a in enumerate(x.components))
+    return sum(p**i * _tau(a, p, n) for i, a in enumerate(x.components))
 
 
 def _vector(z: int, p: int, n: int) -> WittVec:
     """The vector whose image in Z/p^n is z mod p^n, peeled one digit at a
     time: a = z mod p, then z <- (z - tau(a)) / p, which is exact because
     tau(a) = a mod p."""
-    q, e = p**n, p ** (n - 1)
     digits = []
     for _ in range(n):
         a = z % p
         digits.append(a)
-        z = (z - pow(a, e, q)) // p
+        z = (z - _tau(a, p, n)) // p
     return WittVec(p, tuple(digits))
 
 
@@ -288,7 +285,7 @@ def law_apply(
 
 
 def frobenius(x: WittVec) -> WittVec:
-    return WittVec(x.p, tuple(pow(a, x.p, x.p) for a in x.components))
+    return x
 
 
 def verschiebung(x: WittVec) -> WittVec:
@@ -296,7 +293,7 @@ def verschiebung(x: WittVec) -> WittVec:
 
 
 def p_multiple(x: WittVec) -> WittVec:
-    return WittVec(x.p, (0,) + tuple(pow(a, x.p, x.p) for a in x.components[:-1]))
+    return verschiebung(x)
 
 
 def teichmuller(a: int, p: int, n: int) -> WittVec:

@@ -262,6 +262,13 @@ class TestWittCommands:
             "e2e83f016cf544cc8090fb8f95ec4bc43c82d0fbe8f6389915ab30c66bea4a4a"
         )
 
+    def test_witt_polys_19_3_within_the_law_guard(self, capsys):
+        # 25,482 candidate monomials times 19^2 = 9,199,002, within 10^7
+        code, out, err = run(capsys, "witt-polys", "--p", "19", "--len", "3", "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [len(doc[kind]) for kind in ("sum", "product", "negation")] == [3, 3, 3]
+
     def test_witt_polys_rejects_composite(self, capsys):
         code, _, err = run(capsys, "witt-polys", "--p", "6", "--len", "2")
         assert code == 2

@@ -10,7 +10,9 @@ that share no variable with the rest by the binomial theorem, where each
 multiplication by a monomial is a key shift, and otherwise multiply by
 the base.  Keys are not checked as they form; ``check_exponents`` checks
 a finished result.  ``PolyRing.unpack`` is the one place an exponent
-is read out of a key: rendering and evaluation work on its tuples.
+is read out of a key, by shifts precomputed per ring: rendering and
+evaluation work on its tuples.  A value is immutable, so it renders at
+most once: ``render`` keeps its text on the value.
 
 Division only ever happens by powers of p and must be exact; a remainder
 means the integrality guarantee of the Witt construction was violated
@@ -45,6 +47,7 @@ class PolyRing:
         self.max_exponent = max_exponent
         self.bits = (2 * max_exponent).bit_length() + 1
         self._field_mask = (1 << self.bits) - 1
+        self._shifts = range(0, self.bits * len(self.names), self.bits)
         # Per field: ``_low`` is all ones below the top bit and ``_top`` the
         # top bit, so (key + _low) & _top marks the nonzero fields of a key
         # (exact while every exponent is below 2 * max_exponent + 2);
@@ -71,9 +74,8 @@ class PolyRing:
         return key
 
     def unpack(self, key: int) -> tuple[int, ...]:
-        return tuple(
-            (key >> (self.bits * i)) & self._field_mask for i in range(len(self.names))
-        )
+        mask = self._field_mask
+        return tuple([(key >> s) & mask for s in self._shifts])
 
     # -- element constructors --------------------------------------------
 
@@ -93,12 +95,13 @@ class PolyRing:
 class Poly:
     """Immutable polynomial; don't mutate ``terms`` after construction."""
 
-    __slots__ = ("ring", "terms", "_eval_cache")
+    __slots__ = ("ring", "terms", "_eval_cache", "_text")
 
     def __init__(self, ring: PolyRing, terms: dict[int, int]):
         self.ring = ring
         self.terms = terms
         self._eval_cache: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+        self._text: str | None = None
 
     # -- arithmetic -------------------------------------------------------
 
@@ -301,7 +304,13 @@ class Poly:
 
     def render(self) -> str:
         """Canonical text form, e.g. ``x_1 + y_1 - x_0*y_0``: total degree
-        ascending, then exponent vector descending."""
+        ascending, then exponent vector descending.  The first call keeps
+        the text on this value and later calls return it."""
+        if self._text is None:
+            self._text = self._canonical_text()
+        return self._text
+
+    def _canonical_text(self) -> str:
         if not self.terms:
             return "0"
         names, unpack = self.ring.names, self.ring.unpack

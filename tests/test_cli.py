@@ -262,6 +262,16 @@ class TestWittCommands:
             "e2e83f016cf544cc8090fb8f95ec4bc43c82d0fbe8f6389915ab30c66bea4a4a"
         )
 
+    def test_witt_polys_repeats_its_bytes_in_one_process(self, capsys):
+        # the second run renders the cached laws from their kept text
+        outs = [run(capsys, "witt-polys", "--p", "13", "--len", "3", "--format", "json")
+                for _ in range(2)]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+        assert hashlib.sha256(outs[1][1].encode()).hexdigest() == (
+            "e2e83f016cf544cc8090fb8f95ec4bc43c82d0fbe8f6389915ab30c66bea4a4a"
+        )
+
     def test_witt_polys_19_3_within_the_law_guard(self, capsys):
         # 25,482 candidate monomials times 19^2 = 9,199,002, within 10^7
         code, out, err = run(capsys, "witt-polys", "--p", "19", "--len", "3", "--format", "json")

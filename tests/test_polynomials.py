@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from btlab.errors import VerificationError
 from btlab.polynomials import Poly, PolyRing
+from btlab.witt import negation_polynomials, product_polynomials, sum_polynomials
 
 
 def from_terms(ring, terms):
@@ -178,6 +179,63 @@ def render_polys(draw):
 @example(render_rings[1].var(1, exponent=12, coeff=-1) + render_rings[1].constant(-10))
 def test_render_matches_reference(f):
     assert f.render() == reference_render(f)
+
+
+def test_second_render_returns_the_kept_text_and_reads_no_key(ring, monkeypatch):
+    f = from_terms(ring, [((0, 1, 0, 0), 1), ((2, 0, 1, 0), -3), ((0, 0, 0, 0), 7)])
+    first = f.render()
+
+    def no_key_read(key):
+        raise AssertionError("a kept text reads no key")
+
+    monkeypatch.setattr(ring, "unpack", no_key_read)
+    assert f.render() is first
+    assert repr(f) == f"Poly({first})"
+
+
+def test_kept_text_belongs_to_one_value():
+    law = sum_polynomials(2, 3)[-1]
+    text = law.render()
+    key = next(iter(law.terms))
+    changed = Poly(law.ring, {**law.terms, key: law.terms[key] + 1})
+    assert changed.render() != text
+    assert changed.render() == reference_render(changed)
+    assert law.render() is text
+
+
+@pytest.mark.parametrize("p,n", [(13, 3), (3, 4), (7, 3), (11, 3), (2, 5)])
+def test_workload_laws_render_as_the_reference(p, n):
+    for build in (sum_polynomials, product_polynomials, negation_polynomials):
+        for law in build(p, n):
+            fresh = Poly(law.ring, law.terms)
+            assert fresh.render() == reference_render(law) == law.render()
+
+
+# 1 to 8 variables; 3162 is the largest p^(n-1) the Witt-law guard admits.
+unpack_rings = [
+    PolyRing([f"z_{i}" for i in range(k)], max_exponent=cap)
+    for k in range(1, 9) for cap in (1, 12, 169, 3162)
+]
+
+
+@pytest.mark.parametrize("ring", unpack_rings, ids=repr)
+def test_unpack_inverts_pack_at_the_extremes(ring):
+    k, cap = len(ring.names), ring.max_exponent
+    for exps in ((0,) * k, (cap,) * k, tuple(cap if i % 2 else 1 for i in range(k))):
+        assert ring.unpack(ring.pack(exps)) == exps
+
+
+@st.composite
+def packed_exponents(draw):
+    ring = draw(st.sampled_from(unpack_rings))
+    exps = draw(st.tuples(*[st.integers(0, ring.max_exponent)] * len(ring.names)))
+    return ring, exps
+
+
+@given(packed_exponents())
+def test_unpack_inverts_pack(case):
+    ring, exps = case
+    assert ring.unpack(ring.pack(exps)) == exps
 
 
 def test_eval_mod(ring):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btlab import witt
+from btlab import cli, witt
 from btlab.cli import main
 from btlab.errors import InputError, VerificationError
 from btlab.polynomials import Poly
@@ -369,8 +369,9 @@ class TestRingIsoTable:
         assert report.failure
 
     def test_corrupted_sum_law_fails_the_identities(self, monkeypatch, capsys):
-        # witt-check forms p*x as a p-fold Witt sum, so F(V(x)) = p*x and
-        # V(F(x)) = p*x test the sum law as well
+        # witt-check forms p*x as a p-fold Witt sum, so V(x) = p*x tests the
+        # sum law as well; F is the identity, so F(V(x)) and V(F(x)) are one
+        # check, and a failing sample is reported once
         corrupt_top_sum_law(monkeypatch)
         code = main(["witt-check", "--p", "2", "--len", "3", "--samples", "20",
                      "--format", "json"])
@@ -378,6 +379,16 @@ class TestRingIsoTable:
         assert code == 1
         assert doc["identity_failures"]
         assert all("!= p*x" in msg for msg in doc["identity_failures"])
+        # replay the draws (seed 0, x then y per sample): one message per
+        # failing sample, so no sample's x appears in two messages
+        rng = SplitMix64(0)
+        expected = []
+        for _ in range(20):
+            x = cli._random_vec(rng, 2, 3)
+            cli._random_vec(rng, 2, 3)
+            if verschiebung(x) != cli._p_fold_sum(x):
+                expected.append(f"V(x) != p*x at x={x}")
+        assert doc["identity_failures"] == expected
 
     @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (7, 2), (2, 5)])
     def test_reversed_digit_map_fails_the_table(self, monkeypatch, p, n):

@@ -21,10 +21,15 @@ adding w to the component-count exponent.
 
 The graph is four flat arrays over the row-major vertex index r*h^2 +
 (i-1)*h + (j-1), filled from the images of pi and the test "point <= d"
-alone, so the m edges of a pair are one slice of step h^2; its components
-are credited to (pi, pi) orbits found here by iterating pi.  Nothing comes
-from ``pair_orbits``, ``epsilon_sequence`` or ``segment_scan``, so a fault
-in the orbit listing, the epsilon-sequences or the segment combinatorics
+alone.  Row k of the congruences ties (i, j, k - [left side shifted]) to
+(pi(i), pi(j), k - [right side shifted]), so the edges of a pair climb the
+same number of rows with the same weight: the rows are translates by h^2,
+but row 0 has no edge out of a pair whose right side alone is shifted (it
+would enter row -1) and row m-1 none out of one whose left side is (it
+would enter row m).  One scan along the (pi, pi) orbits, found here by
+iterating pi, works out rows 0 and 1 of every pair.  Nothing comes from
+``pair_orbits``, ``epsilon_sequence`` or ``segment_scan``, so a fault in
+the orbit listing, the epsilon-sequences or the segment combinatorics
 shows up in ``cross_check``.
 
 The level-m system is the first m Witt components of the level-M one, so
@@ -53,11 +58,11 @@ from .invariants import InvariantReport, invariant_report
 from .permutations import Permutation, Signature
 
 #: Largest number of graph vertices, h^2 * m at level m, that
-#: ``build_gamma_graph`` expands: 11 bytes a vertex while building and 12
-#: while classifying (the edge levels take 4), so at the cap (a 50-cycle at
-#: level 400) 12 MB at the peak and 0.3 s to build and classify on a Xeon
-#: with Python 3.11.  A ``verify`` sweep's cases share this budget: it
-#: refuses samples * max_h^2 * max_level above it.
+#: ``build_gamma_graph`` expands.  At the cap, building and classifying
+#: peak 14 MB above the interpreter's start for a 50-cycle at level 400
+#: (0.2 s) and 26 MB for a 1000-cycle at level 1 (0.8 s), on a Xeon with
+#: Python 3.11.  A ``verify`` sweep's cases share this budget: it refuses
+#: samples * max_h^2 * max_level above it.
 MAX_ORACLE_VERTICES = 1_000_000
 
 
@@ -76,8 +81,8 @@ class Mismatch(NamedTuple):
 def _stepped(block: array, step: int, n: int) -> array:
     """The first n entries of block, block + step, block + 2*step, ...
     Every copy is the block plus its offset, added to all its lanes at
-    once as one big integer; no lane carries into the next, since every
-    entry is below 2^31."""
+    once as one big integer; no lane carries into the next (or borrows
+    from it), since every entry is in [0, 2^31)."""
     a = array("i", block[:n])
     if len(a) == n:
         return a
@@ -93,60 +98,79 @@ def _stepped(block: array, step: int, n: int) -> array:
     return a
 
 
-def _iota(n: int) -> array:
-    """``array("i", range(n))``, ten times faster at a million entries.
-    Blocks of 32 KB keep the scratch integers small."""
-    block = 1 << 13
-    return _stepped(array("i", range(min(n, block))), block, n)
-
-
 class FlatGraph:
     """Successor, edge weight, has-in-edge and zero flag per vertex index
     r*h^2 + (i-1)*h + (j-1), with the (pi, pi) orbit of every pair.
 
-    ``d`` places the points 1..d below the region boundary; only
-    ``edge_levels`` reads it.
+    ``d`` places the points 1..d below the region boundary.  One scan of
+    the orbits finds the out-edges of rows 0 and 1, the weight, the zero
+    flag and the image of every pair, and translation lays out the rest
+    (see the module docstring).  A vertex without an out-edge has its
+    pair's weight too, but ``edges`` and ``classify_components`` read
+    weights only on edges.
     """
 
     def __init__(self, images: Sequence[int], m: int, d: int = 0):
-        self.img = img = [v - 1 for v in images]  # img[i] = pi(i + 1) - 1
+        img = [v - 1 for v in images]  # img[i] = pi(i + 1) - 1
         self.h = h = len(img)
-        self.m = m
-        self.d = d
-        n = h * h * m
-        self._index = _iota(n)  # ``link`` copies succ blocks from this
-        self.succ = array("i", [-1]) * n  # successor vertex, -1 for none
-        self.weight = bytearray(n)  # succ = vertex^(p^weight)
-        self.has_in = bytearray(n)
-        self.zero = bytearray(n)  # the vertex is forced to 0
-        self.edge_count = 0
-        # Orbit number of every pair index (i-1)*h + (j-1).  This repeats
-        # the job of ``pair_orbits`` on purpose: the oracle must not share
-        # it.  The lexicographic scan meets every orbit first at its least
-        # pair.
-        self.label = label = [-1] * (h * h)
+        self.m, self.d = m, d
+        pairs = h * h
+        low = [i < d for i in range(h)]  # point i + 1 lies in {1..d}
+        row0 = array("i", [0]) * pairs  # out-edge target in row 0, -1 for none
+        row1 = array("i", [0]) * pairs  # in row 1, never -1
+        weight = bytearray(b"\1") * pairs  # succ = vertex^(p^weight)
+        zero = bytearray(pairs)  # the vertex is forced to 0
+        entered = bytearray(pairs)  # an edge enters the pair
+        bare = array("i")  # pairs without an in-edge in row 0
+        edges = 0
+        # Orbit number of every pair index (i-1)*h + (j-1), repeating the job
+        # of ``pair_orbits`` on purpose: the oracle must not share it.  The
+        # lexicographic scan meets every orbit first at its least pair.
+        self.label = label = [-1] * pairs
         self.reps: list[tuple[int, int]] = []
         self.sizes: list[int] = []
-        for q in range(h * h):
-            if label[q] < 0:
-                a, b = divmod(q, h)
-                self.reps.append((a + 1, b + 1))
-                size = 0
-                while label[a * h + b] < 0:
-                    label[a * h + b] = len(self.sizes)
-                    size += 1
-                    a, b = img[a], img[b]
-                self.sizes.append(size)
-
-    def link(self, src: int, dst: int, count: int, weight: int) -> None:
-        """Add the edges src + k*h^2 -> dst + k*h^2 of ``weight`` for k <
-        count, one per Witt row; ``classify_components`` refuses two edges
-        out of or into a vertex."""
-        step = self.h * self.h
-        self.edge_count += count
-        self.succ[src:src + count * step:step] = self._index[dst:dst + count * step:step]
-        self.weight[src:src + count * step:step] = bytes((weight,)) * count
-        self.has_in[dst:dst + count * step:step] = b"\1" * count
+        for start in range(pairs):
+            if label[start] >= 0:
+                continue
+            a, b = divmod(start, h)
+            self.reps.append((a + 1, b + 1))
+            orbit, size, q = len(self.sizes), 0, start
+            while label[q] < 0:
+                label[q] = orbit
+                size += 1
+                shift_left = low[a] and not low[b]  # left side is p * sigma(x)
+                a, b = img[a], img[b]
+                t = a * h + b
+                shift_right = low[b] and not low[a]  # right side is p * x'
+                entered[t] = 1
+                edges += m - (shift_left or shift_right)
+                if shift_left == shift_right:
+                    # if both, rows align after dropping the shared leading zero
+                    row0[q], row1[q] = t, t + pairs
+                elif shift_left:
+                    zero[t] = 1
+                    bare.append(t)
+                    row0[q], row1[q], weight[q] = t + pairs, t + 2 * pairs, 2
+                else:
+                    zero[q] = 1
+                    row0[q], row1[q], weight[q] = -1, t, 0
+                q = t
+            self.sizes.append(size)
+        top = (m - 1) * pairs  # row m-1 starts here
+        # successor vertex, -1 for none; a sum leaves no spare capacity
+        self.succ = succ = row0 + _stepped(row1, pairs, top)
+        self.has_in = has_in = entered * m
+        for t in bare:
+            has_in[t] = 0
+        none = array("i", [-1]) * (h - d)
+        for a in range(top, top + d * h, h):  # no edge out of J_+ in row m-1
+            succ[a + d:a + h] = none
+        for a in range(top + d * h, top + pairs, h):  # nor into J_-
+            has_in[a:a + d] = bytes(d)
+        self.zero = bytearray(m * pairs)  # row 0's flags, then zeros
+        self.zero[:pairs] = zero  # (``extend`` would copy the zeros in)
+        self.weight = weight * m
+        self.edge_count = edges
 
     def edge_levels(self) -> array:
         """The level from which the out-edge of every vertex exists: r + 1
@@ -214,37 +238,12 @@ def build_gamma_graph(p: Permutation, sig: Signature, m: int) -> FlatGraph:
         raise InputError("level m must be >= 1")
     if p.h != sig.h:
         raise InputError(f"permutation degree {p.h} != c+d = {sig.h}")
-    h, d = p.h, sig.d
-    vertices = h * h * m
+    vertices = p.h * p.h * m
     if vertices > MAX_ORACLE_VERTICES:
         raise InputError(
             f"oracle vertices (h^2 * level) must be <= {MAX_ORACLE_VERTICES}, got {vertices}"
         )
-    g = FlatGraph(p.images, m, d)
-    img, link, zero = g.img, g.link, g.zero
-    row = h * h  # one Witt row further on
-    low = [i < d for i in range(h)]  # point i + 1 lies in {1..d}
-    for i in range(h):
-        ti = img[i]
-        for j in range(h):
-            tj = img[j]
-            src = i * h + j
-            dst = ti * h + tj
-            shift_left = low[i] and not low[j]  # left side is p * sigma(x)
-            shift_right = low[tj] and not low[ti]  # right side is p * x'
-            if shift_left and shift_right:
-                # rows align after dropping the shared leading zero
-                link(src, dst, m - 1, 1)
-            elif shift_left:
-                zero[dst] = 1
-                link(src, dst + row, m - 1, 2)
-            elif shift_right:
-                zero[src] = 1
-                link(src + row, dst, m - 1, 0)
-            else:
-                link(src, dst, m, 1)
-    del g._index  # 4 bytes a vertex that classifying does not need
-    return g
+    return FlatGraph(p.images, m, sig.d)
 
 
 def classify_components(g: FlatGraph) -> OracleResult:

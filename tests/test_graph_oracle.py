@@ -201,9 +201,40 @@ class TestBuildGammaGraph:
         ]
         assert rows[0].cycles == rows[3].cycles == (Cycle(1, 1), Cycle(1, 1))
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8191, 8192, 8193, 3 * 8192 + 5, 100_003])
-    def test_index_array_counts_up(self, n):
-        assert graph_oracle._iota(n) == array("i", range(n))
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_graph_is_the_congruences_written_out(self, h, m):
+        # Row k of the congruence of (i, j) equates the left side's
+        # component k, y_{k-1}^(p^2) if (i, j) is in J_+ (0 at k = 0) and
+        # y_k^p otherwise, with the right side's, y'_{k-1}^p if the image
+        # is in J_- (0 at k = 0) and y'_k otherwise.
+        def vertex(i, j, r):
+            return r * h * h + (i - 1) * h + (j - 1)
+
+        for images in permutations(range(1, h + 1)):
+            for d in range(h + 1):
+                edges, zeros = [], set()
+                for i in range(1, h + 1):
+                    for j in range(1, h + 1):
+                        pi, pj = images[i - 1], images[j - 1]
+                        left_shifted, right_shifted = i <= d < j, pj <= d < pi
+                        for k in range(m):
+                            left = right = None  # (vertex, Frobenius power)
+                            if k >= left_shifted:
+                                left = (vertex(i, j, k - left_shifted), 1 + left_shifted)
+                            if k >= right_shifted:
+                                right = (vertex(pi, pj, k - right_shifted), right_shifted)
+                            if left and right:
+                                edges.append((left[0], right[0], left[1] - right[1]))
+                            elif left or right:  # the other side is 0
+                                zeros.add((left or right)[0])
+                g = build_gamma_graph(Permutation(images), Signature(h - d, d), m)
+                assert g.edges == sorted(edges)
+                assert [v for v, flag in enumerate(g.has_in) if flag] == sorted(
+                    target for _, target, _ in edges
+                )
+                assert [v for v, flag in enumerate(g.zero) if flag] == sorted(zeros)
+                assert g.edge_count == len(g.edges)
 
     @given(epsilon_seqs)
     def test_level_one_degenerates_to_scalar_rules(self, e):
@@ -267,6 +298,14 @@ class TestBuildGammaGraph:
             assert values(e[r:] + e[:r]) == base
 
 
+def self_loops():
+    """The level-1 graph of the identity on 2 points with d = 0: four
+    self-loops of weight 1, vertex v on pair v."""
+    g = build_gamma_graph(Permutation((1, 2)), Signature(2, 0), 1)
+    assert g.edges == [(v, v, 1) for v in range(4)]
+    return g
+
+
 class TestClassifyComponents:
     def test_all_zeroed(self):
         summary = reference_classify_components(reference_build_gamma_graph((1, 1), 2))
@@ -284,21 +323,26 @@ class TestClassifyComponents:
         assert summary.cycles == (Cycle(4, 4),)
 
     def test_malformed_double_out_degree(self):
-        g = FlatGraph((1, 2), 1)
-        g.link(0, 1, 1, 1)
-        g.link(0, 0, 1, 1)
+        g = self_loops()
+        g.succ[0] = 1  # a second edge out of vertex 0, 0 -> 1, overwrote 0 -> 0
+        g.edge_count += 1
         with pytest.raises(VerificationError, match="two outgoing edges"):
             classify_components(g)
 
     def test_malformed_double_in_degree(self):
-        g = FlatGraph((1, 2), 1)
-        g.link(0, 1, 1, 1)
-        g.link(1, 1, 1, 1)
+        g = self_loops()
+        g.succ[0] = 1  # 0 -> 1 as well as 1 -> 1, and no edge into 0
+        g.has_in[0] = 0
         with pytest.raises(VerificationError, match="two incoming edges"):
             classify_components(g)
+        # so does a pair map that is not a bijection: all four pairs of
+        # images (2, 2) go to (2, 2)
+        with pytest.raises(VerificationError, match="two incoming edges"):
+            classify_components(FlatGraph((2, 2), 1))
 
     def test_isolated_vertex_counts_as_free_path(self):
-        g = FlatGraph((1,), 1)
+        g = build_gamma_graph(Permutation((1,)), Signature(1, 0), 1)
+        g.succ[0], g.has_in[0], g.edge_count = -1, 0, 0  # drop the self-loop
         assert classify_components(g).free_paths == 1
 
 
@@ -530,9 +574,9 @@ class TestTruncation:
             classify_components(above)
 
     def test_in_flag_without_an_in_edge_is_refused(self):
-        g = FlatGraph((1, 2), 1)
-        g.link(0, 1, 1, 1)
-        g.has_in[0], g.has_in[1] = 1, 0  # the counts still match
+        g = self_loops()
+        g.succ[0], g.succ[1], g.edge_count = 1, -1, 3  # 0 -> 1, 1 a path end
+        g.has_in[1] = 0  # vertex 0 keeps its flag: the counts still match
         with pytest.raises(VerificationError, match="flagged with an in-edge has none"):
             classify_components(g)
 

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import witt
 from .errors import InputError, VerificationError
 from .graph_oracle import level_mismatch, oracle_components
-from .invariants import InvariantReport, invariant_report, level_histogram
+from .invariants import MAX_LEVEL, InvariantReport, invariant_report, level_histogram
 from .kraft import enumerate_bt1, kraft_type
 from .permutations import Permutation, Signature, parse_permutation
 from .rng import SplitMix64
@@ -124,8 +124,7 @@ def _report_table(doc: dict) -> str:
 
 
 def cmd_invariants(args) -> dict:
-    if args.max_level < 1:
-        raise InputError(f"--max-level must be >= 1, got {args.max_level}")
+    _check_level(args.max_level, "--max-level")
     if args.p is not None:
         check_prime(args.p)
     sig = _signature(args)
@@ -138,8 +137,7 @@ def cmd_oracle(args) -> dict:
     sig = _signature(args)
     perm = _permutation(args, sig)
     level = args.level
-    if level < 1:
-        raise InputError(f"--level must be >= 1, got {level}")
+    _check_level(level, "--level")
     report = invariant_report(perm, sig, level)
     result = oracle_components(perm, sig, level)
     doc = _report_doc(perm, sig, report, level, None)
@@ -229,6 +227,13 @@ def cmd_kraft_type(args) -> dict:
 def _check_len(args) -> None:
     if args.len < 1:
         raise InputError(f"--len must be >= 1, got {args.len}")
+
+
+def _check_level(value: int, flag: str) -> None:
+    if value < 1:
+        raise InputError(f"{flag} must be >= 1, got {value}")
+    if value > MAX_LEVEL:
+        raise InputError(f"{flag} must be <= {MAX_LEVEL}, got {value}")
 
 
 def cmd_witt_polys(args) -> dict:

@@ -184,11 +184,7 @@ class FlatGraph:
         shifted = array("i", [2]) * (h - d)
         for a in range(0, d * h, h):  # (i, j) with i <= d < j
             first[a + d:a + h] = shifted
-        # one big-integer addition per row within a block of about 8192
-        # entries, then one per block
-        rows = max(1, (1 << 13) // pairs)
-        block = _stepped(first, 1, pairs * min(rows, m - 1))
-        levels = _stepped(block, rows, pairs * (m - 1))
+        levels = _stepped(first, 1, pairs * (m - 1))
         levels.extend(array("i", [m]) * pairs)
         return levels
 

@@ -18,13 +18,13 @@ gamma stabilizes at the largest segment level; that level is the
 isomorphism number, and gamma there is the specializing height.
 
 Cost.  A segment is a first return of the prefix-sum walk to the level
-it left at a -1, so one stack scan over the doubled sequence finds every
-segment of an orbit of length l in O(l) steps (see ``segment_scan``).
-The orbits of (pi, pi) cover h^2 points, so scanning all of them costs
-O(h^2).  The gamma and c_m tables are running sums over histograms of
-segment levels and circular levels, which adds O(segments + orbits +
-max_level).  The whole pipeline is therefore linear in the size of its
-output.
+it left at a -1, so one pass over the doubled sequence with one stack
+finds every segment of an orbit of length l in 2l steps (see
+``segment_scan``).  The orbits of (pi, pi) cover h^2 points, so scanning
+all of them costs O(h^2).  The gamma and c_m tables are running sums
+over histograms of segment levels and circular levels, which adds
+O(segments + orbits + max_level).  The whole pipeline is therefore
+linear in the size of its output.
 """
 
 from __future__ import annotations
@@ -72,14 +72,14 @@ def segment_scan(e: EpsilonSeq) -> tuple[Segment, ...]:
     The segment starting at a -1 in position s ends at the first later
     position where the cyclic prefix-sum walk climbs back to the value it
     had before s; its level is how far the walk dipped in between.  One
-    pass over the doubled sequence finds all of them.  A stack holds the
-    -1 starts whose walk has not yet come back, with the walk's value
-    before each start (strictly decreasing up the stack, since every
-    open start lies below the ones beneath it) and the lowest value seen
-    since.  A +1 that brings the walk back to the top start's value
-    closes that segment, and its low folds into the new top's.  Starts
-    are only pushed on the first lap; the second lap closes what is
-    still open.
+    pass over the doubled sequence finds all of them, with one stack of
+    [start, base, low] entries: the -1 starts whose walk has not yet come
+    back, the walk's value before each (strictly decreasing up the stack,
+    since every open start lies below the ones beneath it) and the lowest
+    value seen since.  A +1 that brings the walk back to the top entry's
+    base closes that segment, and its low folds into the new top's.
+    Starts are only pushed while i < l, so the second lap closes what the
+    first left open.
 
     No segment is longer than l = |e|: after one lap the walk has moved
     by the total of ``e``.  If the total is 0, the walk is back at the
@@ -91,40 +91,22 @@ def segment_scan(e: EpsilonSeq) -> tuple[Segment, ...]:
     """
     l = len(e)
     by_start: list[Segment | None] = [None] * l
-    starts: list[int] = []
-    bases: list[int] = []
-    lows: list[int] = []
+    stack: list[list[int]] = []
     cum = 0
-
-    def close(i: int) -> None:
-        s = starts.pop()
-        bases.pop()
-        low = lows.pop()
-        by_start[s] = Segment(s + 1, i + 1 - s, cum - low)
-        if lows and low < lows[-1]:
-            lows[-1] = low
-
-    for i, v in enumerate(e):
-        if v == -1:
-            starts.append(i)
-            bases.append(cum)
-            cum -= 1
-            lows.append(cum)
-        elif v == 1:
-            cum += 1
-            if bases and bases[-1] == cum:
-                close(i)
-    for i, v in enumerate(e, start=l):
-        if not starts:
-            break
+    for i, v in enumerate(e + e):
         if v == -1:
             cum -= 1
-            if cum < lows[-1]:
-                lows[-1] = cum
+            if i < l:
+                stack.append([i, cum + 1, cum])
+            elif stack and cum < stack[-1][2]:
+                stack[-1][2] = cum
         elif v == 1:
             cum += 1
-            if bases[-1] == cum:
-                close(i)
+            if stack and stack[-1][1] == cum:
+                s, _, low = stack.pop()
+                by_start[s] = Segment(s + 1, i + 1 - s, cum - low)
+                if stack and low < stack[-1][2]:
+                    stack[-1][2] = low
     return tuple(seg for seg in by_start if seg is not None)
 
 
@@ -151,8 +133,6 @@ def circular_level(e: EpsilonSeq) -> int | None:
     sums (wrapping intervals included), so the maximal interval-sum
     magnitude equals max(prefix) - min(prefix).
     """
-    if sum(e) != 0:
-        return None
     hi = lo = cum = 0
     for v in e:
         cum += v
@@ -160,7 +140,7 @@ def circular_level(e: EpsilonSeq) -> int | None:
             hi = cum
         elif cum < lo:
             lo = cum
-    return hi - lo
+    return hi - lo if cum == 0 else None
 
 
 class OrbitProfile(NamedTuple):
@@ -170,13 +150,12 @@ class OrbitProfile(NamedTuple):
     circular_level: int | None
 
 
-def orbit_profile(orbit: ProductOrbit, sig: Signature) -> OrbitProfile:
-    eps = epsilon_sequence(orbit, sig)
-    return OrbitProfile(orbit, eps, segment_scan(eps), circular_level(eps))
-
-
 def orbit_profiles(p: Permutation, sig: Signature) -> list[OrbitProfile]:
-    return [orbit_profile(o, sig) for o in pair_orbits(p)]
+    return [
+        OrbitProfile(o, eps, segment_scan(eps), circular_level(eps))
+        for o in pair_orbits(p)
+        for eps in [epsilon_sequence(o, sig)]
+    ]
 
 
 def gamma(profiles: Sequence[OrbitProfile], m: int) -> int:
@@ -199,12 +178,13 @@ def component_exponent(profiles: Sequence[OrbitProfile], m: int) -> int:
 def isomorphism_number(profiles: Sequence[OrbitProfile]) -> int:
     """Level at which gamma stabilizes.
 
-    All-zero epsilon data happens exactly when c*d = 0; that group is the
-    unique one of its signature, so level 0 already determines it.  With
-    c*d > 0 the number is the largest segment level, and at least 1 even
-    when no segments exist (gamma is constant from m = 1 on).
+    All-zero epsilon data, which an orbit has exactly when its circular
+    level is 0, happens exactly when c*d = 0; that group is the unique one
+    of its signature, so level 0 already determines it.  With c*d > 0 the
+    number is the largest segment level, and at least 1 even when no
+    segments exist (gamma is constant from m = 1 on).
     """
-    if all(v == 0 for prof in profiles for v in prof.eps):
+    if all(prof.circular_level == 0 for prof in profiles):
         return 0
     levels = [seg.level for prof in profiles for seg in prof.segments]
     return max(levels, default=1)
@@ -233,8 +213,8 @@ def invariant_report(p: Permutation, sig: Signature, max_level: int) -> Invarian
         )
     profiles = tuple(orbit_profiles(p, sig))
     n_iso = isomorphism_number(profiles)
-    # gamma(n_iso) without tabulating that far: every segment has level <= n_iso
-    height = sum(len(prof.segments) for prof in profiles) if n_iso > 0 else 0
+    # gamma(n_iso) untabulated: every segment has level <= n_iso (none at 0)
+    height = sum(len(prof.segments) for prof in profiles)
     # gamma(m) counts segments of level <= m: a running sum of the level
     # histogram.  c_m = m * W(m-1) - N(m-1), where W(k) and N(k) sum |orbit|
     # and n * |orbit| over circular orbits of level n <= k.

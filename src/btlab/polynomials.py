@@ -156,17 +156,14 @@ class Poly:
         return Poly(self.ring, {k: c * v for k, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "Poly":
-        """f^e, by the rules of ``_power_list``; only f^e itself is built."""
+        """f^e, by the rules of ``_power_list``.  With an isolated term only
+        f^e itself is expanded from the powers of the rest; without one it
+        is the last entry of f's own list."""
         if e < 0:
             raise ValueError("negative powers are not polynomials")
-        if e == 0:
-            return self.ring.constant(1)
         key = self._isolated_term()
         if key is None:
-            result = self
-            for _ in range(e - 1):
-                result = result * self
-            return result
+            return self._power_list(e)[-1]
         return self._binomial(key, self._without(key)._power_list(e), e)
 
     def _power_list(self, e: int) -> list["Poly"]:

@@ -56,16 +56,17 @@ from .values import Value
 #: below are a proof of primality, not a probabilistic test.
 PRIME_LIMIT = 2**64
 # The first 12 primes: as Miller-Rabin bases they decide every n < 3.18e23.
+# A multiple of a base is prime only if it is that base, and every other
+# n >= 2 is odd and above 37, which the test needs.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Below this bound trial division needs at most 256 divisors.
-_TRIAL_LIMIT = 1 << 16
 
 
 def _is_prime(p: int) -> bool:
-    if p < _TRIAL_LIMIT:
-        return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
-    if any(p % q == 0 for q in _MR_BASES):
+    if p < 2:
         return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2

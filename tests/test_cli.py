@@ -571,6 +571,11 @@ class TestArgumentErrors:
             # within the vertex budget, but above the report's level cap
             (["verify", "--samples", "1", "--max-h", "2", "--max-level", "10001"],
              "verify max_level must be <= 10000, got 10001"),
+            # above the report's level cap, named by the flag that set it
+            (["oracle", "--c", "1", "--d", "1", "--perm", "(1 2)", "--level", "10001"],
+             "--level must be <= 10000, got 10001"),
+            (["invariants", "--c", "1", "--d", "1", "--perm", "(1 2)", "--max-level", "10001"],
+             "--max-level must be <= 10000, got 10001"),
         ],
     )
     def test_refusal_is_one_error_line(self, capsys, argv, refusal):

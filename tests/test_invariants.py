@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from btlab.invariants import (
 from btlab.permutations import (
     Permutation,
     Signature,
+    epsilon_sequence,
     pair_orbit_count,
     pair_orbits,
     parse_permutation,
@@ -92,6 +94,14 @@ class TestSegmentScan:
     @example((1, 1, -1, -1))
     def test_matches_quadratic_reference(self, e):
         assert segment_scan(e) == reference_segment_scan(e)
+
+    def test_matches_reference_on_every_short_sequence(self):
+        count = 0
+        for l in range(1, 9):
+            for e in itertools.product((-1, 0, 1), repeat=l):
+                assert segment_scan(e) == reference_segment_scan(e), e
+                count += 1
+        assert count == 9840
 
     def test_matches_reference_on_long_sequences(self):
         rng = random.Random(2024)
@@ -239,6 +249,24 @@ class TestIsomorphismNumber:
     def test_degenerate_signature_is_zero(self):
         profiles = orbit_profiles(parse_permutation("(1 2)"), Signature(2, 0))
         assert isomorphism_number(profiles) == 0
+
+    @pytest.mark.parametrize("h", range(1, 6))
+    def test_matches_the_epsilon_rule_on_all_of_s_h(self, h):
+        # 0 when every epsilon is 0, else the largest segment level (1 when
+        # there is none); the height is 0 at 0, else every segment counts
+        for images in itertools.permutations(range(1, h + 1)):
+            perm = Permutation(images)
+            for d in range(h + 1):
+                sig = Signature(h - d, d)
+                eps = [epsilon_sequence(o, sig) for o in pair_orbits(perm)]
+                segments = [seg for e in eps for seg in reference_segment_scan(e)]
+                if all(v == 0 for e in eps for v in e):
+                    expected = (0, 0)
+                else:
+                    expected = (max((s.level for s in segments), default=1), len(segments))
+                rep = invariant_report(perm, sig, 1)
+                assert (rep.isomorphism_number, rep.specializing_height) == expected
+                assert isomorphism_number(rep.profiles) == expected[0]
 
     def test_no_segments_with_mixed_signature_is_one(self):
         profiles = orbit_profiles(Permutation((1, 2)), Signature(1, 1))

@@ -337,11 +337,14 @@ three = power_rings[2]
 NO_ISOLATED = from_terms(three, [((1, 1, 0), 2), ((0, 1, 1), -3), ((1, 0, 1), 1), ((0, 0, 0), 5)])
 ONE_ISOLATED = from_terms(three, [((2, 0, 0), -1), ((0, 1, 1), 4), ((0, 2, 1), -2), ((0, 0, 0), 1)])
 SEVERAL_ISOLATED = from_terms(three, [((1, 0, 0), 1), ((0, 3, 0), -7), ((0, 0, 2), 2), ((0, 0, 0), -1)])
+# v_0*v_1 + v_0: both terms hold v_0, so neither is isolated
+SHARED_VARIABLE = from_terms(three, [((1, 1, 0), 1), ((1, 0, 0), 1)])
 
 
 @pytest.mark.parametrize("f,count", [
     (NO_ISOLATED, 0), (ONE_ISOLATED, 1), (SEVERAL_ISOLATED, 3),
     (three.constant(-4), 0), (three.zero(), 0), (three.var(1, exponent=2, coeff=-3), 1),
+    (SHARED_VARIABLE, 0),
 ])
 def test_pow_matches_reference_on_each_shape(f, count):
     assert len(isolated_terms(f)) == count

@@ -273,6 +273,19 @@ class TestPrimality:
         for n in list(range(-3, 3000)) + list(range(2**16 - 500, 2**16 + 3000)):
             assert self.accepted(n) == self.trial_division(n), n
 
+    def test_agrees_with_a_sieve_below_2_to_the_17(self):
+        # every n < 2^17 covers the 12 bases, their squares and the small
+        # multiples of each, which the Miller-Rabin rounds never see
+        bound = 1 << 17
+        sieve = bytearray([1]) * bound
+        sieve[:2] = b"\0\0"
+        for q in range(2, math.isqrt(bound) + 1):
+            if sieve[q]:
+                sieve[q * q::q] = bytes(len(range(q * q, bound, q)))
+        assert [n for n in range(bound) if witt._is_prime(n)] == [
+            n for n in range(bound) if sieve[n]
+        ]
+
     @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 2**64 - 59])
     def test_large_primes_accepted(self, p):
         assert WittVec(p, (p + 1,)).components == (1,)

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import witt
 from .errors import InputError, VerificationError
 from .graph_oracle import level_mismatch, oracle_components
-from .invariants import MAX_LEVEL, InvariantReport, invariant_report, level_histogram
+from .invariants import InvariantReport, check_level, invariant_report, level_histogram
 from .kraft import enumerate_bt1, kraft_type
 from .permutations import Permutation, Signature, parse_permutation
 from .rng import SplitMix64
@@ -44,14 +44,6 @@ from .witt import (
     witt_mul,
     witt_neg,
 )
-
-
-def _signature(args) -> Signature:
-    return Signature(c=args.c, d=args.d)
-
-
-def _permutation(args, sig: Signature) -> Permutation:
-    return parse_permutation(args.perm, degree=sig.h)
 
 
 def _report_doc(
@@ -124,20 +116,20 @@ def _report_table(doc: dict) -> str:
 
 
 def cmd_invariants(args) -> dict:
-    _check_level(args.max_level, "--max-level")
+    check_level(args.max_level, "--max-level")
     if args.p is not None:
         check_prime(args.p)
-    sig = _signature(args)
-    perm = _permutation(args, sig)
+    sig = Signature(c=args.c, d=args.d)
+    perm = parse_permutation(args.perm, degree=sig.h)
     report = invariant_report(perm, sig, args.max_level)
     return _report_doc(perm, sig, report, args.max_level, args.p)
 
 
 def cmd_oracle(args) -> dict:
-    sig = _signature(args)
-    perm = _permutation(args, sig)
+    sig = Signature(c=args.c, d=args.d)
+    perm = parse_permutation(args.perm, degree=sig.h)
     level = args.level
-    _check_level(level, "--level")
+    check_level(level, "--level")
     report = invariant_report(perm, sig, level)
     result = oracle_components(perm, sig, level)
     doc = _report_doc(perm, sig, report, level, None)
@@ -169,19 +161,7 @@ def _oracle_table(doc: dict) -> str:
 
 def cmd_verify(args) -> dict:
     checks = verification_sweep(args.samples, args.max_h, args.max_level, args.seed)
-    failures = [
-        {
-            "perm": mis.perm.one_line(),
-            "c": mis.c,
-            "d": mis.d,
-            "m": mis.m,
-            "kind": mis.kind,
-            "formula": mis.formula_value,
-            "oracle": mis.oracle_value,
-        }
-        for mis in checks
-        if mis is not None
-    ]
+    failures = [{**mis._asdict(), "perm": mis.perm.one_line()} for mis in checks if mis]
     return {
         "samples": args.samples,
         "max_h": args.max_h,
@@ -205,14 +185,14 @@ def _verify_table(doc: dict) -> str:
 
 
 def cmd_enumerate_bt1(args) -> dict:
-    sig = _signature(args)
+    sig = Signature(c=args.c, d=args.d)
     rendered = [cls.render() for cls in enumerate_bt1(sig)]
     return {"c": sig.c, "d": sig.d, "count": len(rendered), "classes": rendered}
 
 
 def cmd_kraft_type(args) -> dict:
-    sig = _signature(args)
-    perm = _permutation(args, sig)
+    sig = Signature(c=args.c, d=args.d)
+    perm = parse_permutation(args.perm, degree=sig.h)
     cls = kraft_type(perm, sig)
     return {
         "h": sig.h,
@@ -227,13 +207,6 @@ def cmd_kraft_type(args) -> dict:
 def _check_len(args) -> None:
     if args.len < 1:
         raise InputError(f"--len must be >= 1, got {args.len}")
-
-
-def _check_level(value: int, flag: str) -> None:
-    if value < 1:
-        raise InputError(f"{flag} must be >= 1, got {value}")
-    if value > MAX_LEVEL:
-        raise InputError(f"{flag} must be <= {MAX_LEVEL}, got {value}")
 
 
 def cmd_witt_polys(args) -> dict:
@@ -439,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, perm=False, levels=False):
+    def add_common(sp, perm=False):
         sp.add_argument("--format", choices=("json", "table"), default="table")
         sp.add_argument("--out", metavar="PATH", help="also write the output bytes here")
         if perm:
@@ -450,11 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="one-line (2,1,3) or cycle ((1 2)) form; cycles fix unlisted points",
             )
-        if levels:
-            sp.add_argument("--max-level", type=int, default=10, dest="max_level")
 
     sp = sub.add_parser("invariants", help="gamma table, c_m table, isomorphism number")
-    add_common(sp, perm=True, levels=True)
+    add_common(sp, perm=True)
+    sp.add_argument("--max-level", type=int, default=10, dest="max_level")
     sp.add_argument("--p", type=int, default=None, help="annotate component counts as p^c_m")
     sp.set_defaults(table=_report_table)
 

@@ -55,7 +55,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InputError, VerificationError
 from .invariants import InvariantReport, invariant_report
-from .permutations import Permutation, Signature
+from .permutations import Permutation, Signature, check_signature
 
 #: Largest number of graph vertices, h^2 * m at level m, that
 #: ``build_gamma_graph`` expands.  At the cap, building and classifying
@@ -67,15 +67,15 @@ MAX_ORACLE_VERTICES = 1_000_000
 
 
 class Mismatch(NamedTuple):
-    """The first level at which a case's formulas and oracle disagree."""
+    """A ``verify`` failure: the first level where formulas and oracle disagree."""
 
     perm: Permutation
     c: int
     d: int
     m: int
     kind: str  # "cycle-weight", "dimension" or "exponent"
-    formula_value: int
-    oracle_value: int
+    formula: int  # the orbit size for "cycle-weight", else gamma(m) or c_m
+    oracle: int  # the cycle's weight, else the oracle's dimension or exponent
 
 
 def _stepped(block: array, step: int, n: int) -> array:
@@ -212,10 +212,17 @@ class OrbitRow(NamedTuple):
 
 
 class OracleResult(NamedTuple):
+    """One classified level-M graph: its orbit rows, and the dimension and
+    exponent at every level 1..M."""
+
     rows: tuple[OrbitRow, ...]  # orbits in order of their least pairs
-    cycles: tuple[Cycle, ...]  # over all orbits, at the graph's level
     dimensions: tuple[int, ...]  # free paths at levels 1..M
     exponents: tuple[int, ...]  # summed weight of the cycles closed by levels 1..M
+
+    @property
+    def cycles(self) -> tuple[Cycle, ...]:
+        """The rows' cycles in order, built on demand: the package reads ``rows``."""
+        return tuple(cyc for row in self.rows for cyc in row.cycles)
 
     @property
     def free_paths(self) -> int:
@@ -232,8 +239,7 @@ def build_gamma_graph(p: Permutation, sig: Signature, m: int) -> FlatGraph:
     """Expand the level-m congruences of every pair into one FlatGraph."""
     if m < 1:
         raise InputError("level m must be >= 1")
-    if p.h != sig.h:
-        raise InputError(f"permutation degree {p.h} != c+d = {sig.h}")
+    check_signature(p, sig)
     vertices = p.h * p.h * m
     if vertices > MAX_ORACLE_VERTICES:
         raise InputError(
@@ -324,8 +330,7 @@ def classify_components(g: FlatGraph) -> OracleResult:
         paths += joined[m]
         dimensions.append(paths)
         exponents.append((exponents[-1] if exponents else 0) + gained[m])
-    every = tuple(cyc for row in rows for cyc in row.cycles)
-    return OracleResult(rows, every, tuple(dimensions), tuple(exponents))
+    return OracleResult(rows, tuple(dimensions), tuple(exponents))
 
 
 def oracle_components(p: Permutation, sig: Signature, m: int) -> OracleResult:
@@ -367,9 +372,9 @@ def level_mismatch(
 def cross_check(p: Permutation, sig: Signature, max_level: int) -> Mismatch | None:
     """Compare ``invariant_report`` with the graph oracle for m =
     1..max_level by ``level_mismatch``, reading every level from one
-    classification of the level-max_level graph.  Returns the first
+    ``oracle_components`` call at level max_level.  Returns the first
     counterexample as a ``Mismatch``, None when every level agrees."""
     report = invariant_report(p, sig, max_level)
-    result = classify_components(build_gamma_graph(p, sig, max_level))
+    result = oracle_components(p, sig, max_level)
     found = level_mismatch(report, result)
     return Mismatch(p, sig.c, sig.d, *found) if found else None

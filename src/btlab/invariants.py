@@ -38,6 +38,7 @@ from .permutations import (
     Permutation,
     ProductOrbit,
     Signature,
+    check_signature,
     epsilon_sequence,
     pair_orbit_count,
     pair_orbits,
@@ -58,6 +59,15 @@ MAX_LEVEL = 10_000
 #: reports have 1,000-1,400 orbits: at the default level, a size < 10^5.
 ORBIT_ROW_COST = 50
 MAX_REPORT_SIZE = 2_000_000
+
+
+def check_level(value: int, name: str) -> None:
+    """Refuse a level outside 1..MAX_LEVEL; ``name`` is what the refusal
+    calls it: a flag, "verify max_level" or "max level"."""
+    if value < 1:
+        raise InputError(f"{name} must be >= 1, got {value}")
+    if value > MAX_LEVEL:
+        raise InputError(f"{name} must be <= {MAX_LEVEL}, got {value}")
 
 
 class Segment(NamedTuple):
@@ -199,12 +209,8 @@ class InvariantReport(NamedTuple):
 
 
 def invariant_report(p: Permutation, sig: Signature, max_level: int) -> InvariantReport:
-    if p.h != sig.h:
-        raise InputError(f"permutation degree {p.h} != c+d = {sig.h}")
-    if max_level < 1:
-        raise InputError("max level must be >= 1")
-    if max_level > MAX_LEVEL:
-        raise InputError(f"max level must be <= {MAX_LEVEL}, got {max_level}")
+    check_signature(p, sig)
+    check_level(max_level, "max level")
     orbits = pair_orbit_count(p)
     if orbits * (max_level + ORBIT_ROW_COST) > MAX_REPORT_SIZE:
         raise InputError(

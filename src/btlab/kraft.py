@@ -27,7 +27,7 @@ import sys
 from itertools import combinations
 
 from .errors import InputError
-from .permutations import Permutation, Signature, cycle_decomposition
+from .permutations import Permutation, Signature, check_signature, cycle_decomposition
 from .values import Value
 
 
@@ -93,8 +93,7 @@ def kraft_type(p: Permutation, sig: Signature) -> BTClass:
     Each cycle contributes its letter word; a periodic cycle word u^k
     in its least rotation factors as k copies of its aperiodic root u.
     """
-    if p.h != sig.h:
-        raise InputError(f"permutation degree {p.h} != c+d = {sig.h}")
+    check_signature(p, sig)
     words = []
     for cyc in cycle_decomposition(p):
         necklace = canonical_rotation("".join("V" if i <= sig.d else "F" for i in cyc))

@@ -84,6 +84,12 @@ class Signature(Value):
         return self.c + self.d
 
 
+def check_signature(p: Permutation, sig: Signature) -> None:
+    """Refuse a permutation whose degree is not the signature's c + d."""
+    if p.h != sig.h:
+        raise InputError(f"permutation degree {p.h} != c+d = {sig.h}")
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 

@@ -177,7 +177,7 @@ class Poly:
         """
         key = self._isolated_term()
         if key is None:
-            out = [self.ring.constant(1)]
+            out = [self.ring.constant(1), self][: e + 1]
             while len(out) <= e and out[-1]:
                 out.append(out[-1] * self)
             return out

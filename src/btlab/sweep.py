@@ -6,7 +6,7 @@ from typing import Iterator
 
 from .errors import InputError
 from .graph_oracle import MAX_ORACLE_VERTICES, Mismatch, cross_check
-from .invariants import MAX_LEVEL
+from .invariants import check_level
 from .permutations import Permutation, Signature
 from .rng import SplitMix64
 
@@ -20,14 +20,11 @@ def _check_sweep(samples: int, max_h: int, max_level: int) -> None:
         raise InputError(f"verify samples must be >= 1, got {samples}")
     if max_h < 2:
         raise InputError(f"verify max_h must be >= 2, got {max_h}")
-    if max_level < 1:
-        raise InputError(f"verify max_level must be >= 1, got {max_level}")
+    check_level(max_level, "verify max_level")
     if samples > MAX_SWEEP_SAMPLES:
         raise InputError(
             f"verify samples must be <= {MAX_SWEEP_SAMPLES}, got {samples}"
         )
-    if max_level > MAX_LEVEL:
-        raise InputError(f"verify max_level must be <= {MAX_LEVEL}, got {max_level}")
     vertices = samples * max_h**2 * max_level
     if vertices > MAX_ORACLE_VERTICES:
         raise InputError(

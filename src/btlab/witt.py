@@ -314,11 +314,9 @@ def ring_iso_table(p: int, n: int) -> RingIsoReport:
     it must be a bijection onto all p^n vectors and transport both ring
     tables.  Every sum and product here evaluates the laws (law_apply), on
     plain tuples, so the tables compare the laws with that route on every
-    pair.
+    pair.  _check_law refuses a length below 1 before any table work.
     """
     check_prime(p)
-    if n < 1:
-        raise InputError("length must be >= 1")
     size = _power_within(p, n, math.isqrt(MAX_TABLE_PAIRS))
     if size is None:
         raise InputError(
@@ -328,7 +326,7 @@ def ring_iso_table(p: int, n: int) -> RingIsoReport:
     add, mul = sum_polynomials(p, n), product_polynomials(p, n)
     vec_of = [_vector(m, p, n).components for m in range(size)]
     if len(set(vec_of)) != size:
-        return RingIsoReport(size, False, "m -> m*tau(1) is not injective")
+        return RingIsoReport(size, False, "the digit map m -> _vector(m) is not injective")
     for a, x in enumerate(vec_of):
         for b, y in enumerate(vec_of):
             if law_apply(add, x, y, p) != vec_of[(a + b) % size]:

@@ -608,7 +608,7 @@ class TestCrossCheck:
         mismatch = cross_check(perm, Signature(2, 2), 2)
         assert mismatch == Mismatch(perm, 2, 2, 1, "cycle-weight", 4, 5)
         assert (mismatch.m, mismatch.kind) == (1, "cycle-weight")
-        assert (mismatch.formula_value, mismatch.oracle_value) == (4, 5)
+        assert (mismatch.formula, mismatch.oracle) == (4, 5)
 
 
 class TestOracleAgainstFormulas:

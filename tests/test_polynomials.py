@@ -353,6 +353,24 @@ def test_pow_matches_reference_on_each_shape(f, count):
         assert f ** e == reference_pow(f, e)
 
 
+def test_pow_without_an_isolated_term_multiplies_once_per_power_above_one(monkeypatch):
+    # f^0 = 1 and f^1 = f need no product; each later power needs one
+    mul, calls = Poly.__mul__, []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return mul(f, g)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    counts = []
+    for e in range(5):
+        calls.clear()
+        power = SHARED_VARIABLE ** e
+        counts.append(len(calls))
+        assert power == reference_pow(SHARED_VARIABLE, e)
+    assert counts == [0, 0, 1, 2, 3]
+
+
 @settings(max_examples=150, deadline=None)
 @given(sparse_polys(), st.integers(0, 12))
 def test_pow_matches_reference(f, e):

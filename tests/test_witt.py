@@ -415,6 +415,13 @@ class TestRingIsoTable:
         assert not report.passed
         assert report.failure.startswith("addition table fails at (")
 
+    def test_non_injective_digit_map_fails_the_table(self, monkeypatch):
+        # m and m - 1 share a vector for every odd m
+        digits = witt._vector
+        monkeypatch.setattr(witt, "_vector", lambda z, p, n: digits(z - z % 2, p, n))
+        report = ring_iso_table(3, 2)
+        assert report == (9, False, "the digit map m -> _vector(m) is not injective")
+
     def test_corrupted_product_law_fails_the_table(self, monkeypatch, capsys):
         corrupt_top_law(monkeypatch, product_polynomials)
         report = ring_iso_table(2, 3)

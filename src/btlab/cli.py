@@ -21,7 +21,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import witt
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, check_range
 from .graph_oracle import level_mismatch, oracle_components
 from .invariants import InvariantReport, check_level, invariant_report, level_histogram
 from .kraft import enumerate_bt1, kraft_type
@@ -204,13 +204,8 @@ def cmd_kraft_type(args) -> dict:
     }
 
 
-def _check_len(args) -> None:
-    if args.len < 1:
-        raise InputError(f"--len must be >= 1, got {args.len}")
-
-
 def cmd_witt_polys(args) -> dict:
-    _check_len(args)
+    check_range(args.len, "--len", 1)
     p, n = args.p, args.len
     return {
         "p": p,
@@ -240,7 +235,7 @@ def _parse_components(text: str, p: int, n: int, flag: str) -> WittVec:
 
 
 def cmd_witt_eval(args) -> dict:
-    _check_len(args)
+    check_range(args.len, "--len", 1)
     x = _parse_components(args.lhs, args.p, args.len, "--lhs")
     y = _parse_components(args.rhs, args.p, args.len, "--rhs")
     return {
@@ -292,11 +287,8 @@ def _p_fold_sum(x: WittVec) -> WittVec:
 
 
 def cmd_witt_check(args) -> dict:
-    if not 0 <= args.samples <= MAX_WITT_SAMPLES:
-        raise InputError(
-            f"--samples must be in 0..{MAX_WITT_SAMPLES}, got {args.samples}"
-        )
-    _check_len(args)
+    check_range(args.samples, "--samples", 0, MAX_WITT_SAMPLES)
+    check_range(args.len, "--len", 1)
     p, n = args.p, args.len
     table = ring_iso_table(p, n)
     rng = SplitMix64(args.seed)

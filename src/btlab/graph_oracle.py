@@ -53,8 +53,8 @@ import sys
 from array import array
 from typing import NamedTuple, Sequence
 
-from .errors import InputError, VerificationError
-from .invariants import InvariantReport, invariant_report
+from .errors import VerificationError, check_range
+from .invariants import InvariantReport, check_level, invariant_report
 from .permutations import Permutation, Signature, check_signature
 
 #: Largest number of graph vertices, h^2 * m at level m, that
@@ -237,14 +237,9 @@ class OracleResult(NamedTuple):
 
 def build_gamma_graph(p: Permutation, sig: Signature, m: int) -> FlatGraph:
     """Expand the level-m congruences of every pair into one FlatGraph."""
-    if m < 1:
-        raise InputError("level m must be >= 1")
+    check_level(m, "level m")
     check_signature(p, sig)
-    vertices = p.h * p.h * m
-    if vertices > MAX_ORACLE_VERTICES:
-        raise InputError(
-            f"oracle vertices (h^2 * level) must be <= {MAX_ORACLE_VERTICES}, got {vertices}"
-        )
+    check_range(p.h * p.h * m, "oracle vertices (h^2 * level)", high=MAX_ORACLE_VERTICES)
     return FlatGraph(p.images, m, sig.d)
 
 

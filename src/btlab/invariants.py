@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InputError
+from .errors import InputError, check_range
 from .permutations import (
     EpsilonSeq,
     Permutation,
@@ -63,11 +63,8 @@ MAX_REPORT_SIZE = 2_000_000
 
 def check_level(value: int, name: str) -> None:
     """Refuse a level outside 1..MAX_LEVEL; ``name`` is what the refusal
-    calls it: a flag, "verify max_level" or "max level"."""
-    if value < 1:
-        raise InputError(f"{name} must be >= 1, got {value}")
-    if value > MAX_LEVEL:
-        raise InputError(f"{name} must be <= {MAX_LEVEL}, got {value}")
+    calls it: a flag, "verify max_level", "max level" or "level m"."""
+    check_range(value, name, 1, MAX_LEVEL)
 
 
 class Segment(NamedTuple):
@@ -131,8 +128,7 @@ def level_histogram(segments: Iterable[Segment], max_level: int) -> list[int]:
 
 def a_n(e: EpsilonSeq, n: int) -> int:
     """Number of free linear segments of level exactly ``n``."""
-    if n < 1:
-        raise ValueError("segment levels start at 1")
+    check_range(n, "level n", 1)
     return sum(1 for seg in segment_scan(e) if seg.level == n)
 
 
@@ -169,14 +165,12 @@ def orbit_profiles(p: Permutation, sig: Signature) -> list[OrbitProfile]:
 
 
 def gamma(profiles: Sequence[OrbitProfile], m: int) -> int:
-    if m < 1:
-        raise ValueError("gamma is defined for levels m >= 1")
+    check_range(m, "level m", 1)
     return sum(1 for prof in profiles for seg in prof.segments if seg.level <= m)
 
 
 def component_exponent(profiles: Sequence[OrbitProfile], m: int) -> int:
-    if m < 1:
-        raise ValueError("component exponent is defined for levels m >= 1")
+    check_range(m, "level m", 1)
     total = 0
     for prof in profiles:
         n = prof.circular_level

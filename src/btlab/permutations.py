@@ -20,7 +20,7 @@ import math
 import re
 from collections import Counter
 
-from .errors import InputError
+from .errors import InputError, check_range
 from .values import Value
 
 EpsilonSeq = tuple[int, ...]
@@ -32,11 +32,6 @@ ProductOrbit = tuple[tuple[int, int], ...]
 #: walk all h^2 pairs of (pi, pi): a random h = 1000 report computes in
 #: about 1.5 s, and its JSON is 82 MB.
 MAX_DEGREE = 1000
-
-
-def _check_degree(h: int) -> None:
-    if h > MAX_DEGREE:
-        raise InputError(f"permutation degree must be <= {MAX_DEGREE}, got {h}")
 
 
 class Permutation(Value):
@@ -123,7 +118,7 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     h = len(entries)
     if degree is not None and degree != h:
         raise InputError(f"one-line form has {h} entries, expected {degree}")
-    _check_degree(h)
+    check_range(h, "permutation degree", high=MAX_DEGREE)
     return Permutation(tuple(entries))
 
 
@@ -141,7 +136,7 @@ def _parse_cycles(text: str, degree: int | None) -> Permutation:
         raise InputError("no cycles found")
     mentioned = [pt for cyc in cycles for pt in cyc]
     h = max(mentioned) if degree is None else degree
-    _check_degree(h)
+    check_range(h, "permutation degree", high=MAX_DEGREE)
     seen = set()
     for pt in mentioned:
         if pt < 1 or pt > h:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import VerificationError
+from .errors import VerificationError, check_range
 
 
 class PolyRing:
@@ -41,8 +41,7 @@ class PolyRing:
     def __init__(self, names: Sequence[str], max_exponent: int):
         if not names:
             raise ValueError("ring needs at least one variable")
-        if max_exponent < 1:
-            raise ValueError("max_exponent must be >= 1")
+        check_range(max_exponent, "max_exponent", 1)
         self.names = tuple(names)
         self.max_exponent = max_exponent
         self.bits = (2 * max_exponent).bit_length() + 1

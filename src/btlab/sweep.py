@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import InputError
+from .errors import check_range
 from .graph_oracle import MAX_ORACLE_VERTICES, Mismatch, cross_check
 from .invariants import check_level
 from .permutations import Permutation, Signature
@@ -16,21 +16,14 @@ MAX_SWEEP_SAMPLES = 10_000
 
 
 def _check_sweep(samples: int, max_h: int, max_level: int) -> None:
-    if samples < 1:
-        raise InputError(f"verify samples must be >= 1, got {samples}")
-    if max_h < 2:
-        raise InputError(f"verify max_h must be >= 2, got {max_h}")
+    check_range(samples, "verify samples", 1, MAX_SWEEP_SAMPLES)
+    check_range(max_h, "verify max_h", 2)
     check_level(max_level, "verify max_level")
-    if samples > MAX_SWEEP_SAMPLES:
-        raise InputError(
-            f"verify samples must be <= {MAX_SWEEP_SAMPLES}, got {samples}"
-        )
-    vertices = samples * max_h**2 * max_level
-    if vertices > MAX_ORACLE_VERTICES:
-        raise InputError(
-            f"verify graph vertices (samples * max_h^2 * max_level) "
-            f"must be <= {MAX_ORACLE_VERTICES}, got {vertices}"
-        )
+    check_range(
+        samples * max_h**2 * max_level,
+        "verify graph vertices (samples * max_h^2 * max_level)",
+        high=MAX_ORACLE_VERTICES,
+    )
 
 
 def random_cases(samples: int, max_h: int, seed: int) -> Iterator[tuple[Permutation, Signature]]:

@@ -47,7 +47,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, check_range
 from .polynomials import Poly, PolyRing
 from .values import Value
 
@@ -140,8 +140,7 @@ def _law_monomials(p: int, n: int) -> int:
 def _check_law(p: int, n: int) -> None:
     """Validate (p, n) before any law of that length is built."""
     check_prime(p)
-    if n < 1:
-        raise InputError("length must be >= 1")
+    check_range(n, "length", 1)
     weight = _power_within(p, n - 1, math.isqrt(MAX_LAW_SIZE))
     if weight is None or _law_monomials(p, n) * weight > MAX_LAW_SIZE:
         raise InputError(

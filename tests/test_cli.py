@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import shlex
 import string
 import subprocess
 import sys
@@ -555,6 +556,9 @@ class TestArgumentErrors:
              "--len must be >= 1, got 0"),
             (["invariants", "--c", "1", "--d", "1", "--perm", "(1 2)", "--p", "4"],
              "4 is not prime"),
+            # a superscript is a digit to str.isdigit() but not to int()
+            (["invariants", "--c", "1", "--d", "1", "--perm", "²,1"],
+             "token '²' is not a positive integer"),
             (["oracle", "--c", "1", "--d", "1", "--perm", "(1 2)", "--level", "0"],
              "--level must be >= 1, got 0"),
             # argparse's own usage errors
@@ -576,11 +580,30 @@ class TestArgumentErrors:
              "--level must be <= 10000, got 10001"),
             (["invariants", "--c", "1", "--d", "1", "--perm", "(1 2)", "--max-level", "10001"],
              "--max-level must be <= 10000, got 10001"),
+            (["verify", "--samples", "10001", "--max-h", "2", "--max-level", "1"],
+             "verify samples must be <= 10000, got 10001"),
+            (["witt-check", "--p", "2", "--len", "1", "--samples", "-1"],
+             "--samples must be >= 0, got -1"),
+            (["witt-check", "--p", "2", "--len", "1", "--samples", "10001"],
+             "--samples must be <= 10000, got 10001"),
         ],
     )
     def test_refusal_is_one_error_line(self, capsys, argv, refusal):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--samples", "1", "--max-h", "2", "--max-level", "1"],
+            ["witt-check", "--p", "2", "--len", "1", "--samples", "0"],
+            ["witt-check", "--p", "2", "--len", "1", "--samples", "10000"],
+            ["oracle", "--c", "1", "--d", "1", "--perm", "(1 2)", "--level", "10000"],
+            ["invariants", "--c", "1", "--d", "1", "--perm", "(1 2)", "--max-level", "10000"],
+        ],
+    )
+    def test_bound_edges_are_admitted(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 0
 
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
     def test_unwritable_out_exits_two(self, capsys, tmp_path, target):
@@ -632,6 +655,16 @@ def python_m_btlab(*argv):
     proc = python("-m", "btlab", *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = proc.communicate(timeout=60)
     return proc.returncode, out.decode("utf-8"), err.decode("utf-8")
+
+
+def test_readme_examples_exit_zero(capsys):
+    """Every ``btlab`` line of the README's ``## CLI`` block, as written."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("btlab ")]
+    assert len(examples) == 8
+    for argv in examples:
+        assert run(capsys, *argv[1:])[0] == 0, argv
 
 
 def test_python_m_btlab_prints_a_document_and_refuses_bad_input():

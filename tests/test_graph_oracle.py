@@ -383,7 +383,7 @@ class TestOracleInvariants:
 
     def test_argument_checks_are_input_errors(self):
         p = parse_permutation("(1 2)")
-        with pytest.raises(InputError, match="level m must be >= 1"):
+        with pytest.raises(InputError, match="^level m must be >= 1, got 0$"):
             build_gamma_graph(p, Signature(1, 1), 0)
         with pytest.raises(InputError, match=r"permutation degree 2 != c\+d = 3"):
             build_gamma_graph(p, Signature(1, 2), 1)

@@ -364,7 +364,7 @@ class TestRingIsoTable:
             ring_iso_table(2, 17)
 
     def test_refuses_empty_vectors(self):
-        with pytest.raises(InputError, match="^length must be >= 1$"):
+        with pytest.raises(InputError, match="^length must be >= 1, got 0$"):
             ring_iso_table(2, 0)
 
     @pytest.mark.parametrize("p,n", [(313, 2), (99991, 1), (101, 1), (3, 10**9)])
@@ -673,5 +673,5 @@ class TestLawGuard:
 
     def test_rejects_empty_laws(self):
         for build in (sum_polynomials, product_polynomials, negation_polynomials):
-            with pytest.raises(InputError, match="^length must be >= 1$"):
+            with pytest.raises(InputError, match="^length must be >= 1, got 0$"):
                 build(2, 0)

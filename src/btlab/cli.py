@@ -337,10 +337,12 @@ def _json(o) -> str:
 
 def _write(o, indent: str, put) -> None:
     """Pass the JSON pieces of ``o`` to ``put``.  A list of plain ints or
-    strs, or of equal-length tuples of plain ints (an orbit's points, or
-    an oracle row's ``Cycle`` records), is one piece, written without a
-    call per leaf.  ``indent`` is the line
-    break and indentation of the line ``o`` starts on."""
+    strs, of equal-length tuples of plain ints (an orbit's points, or an
+    oracle row's ``Cycle`` records), or of dicts with the same str keys
+    in the same order and plain int values (an orbit's ``{start, length,
+    level}`` segments), is one piece, written without a call per leaf.
+    ``indent`` is the line break and indentation of the line ``o`` starts
+    on."""
     t = type(o)
     if t is str:
         return put(_quote(o))
@@ -378,6 +380,12 @@ def _write(o, indent: str, put) -> None:
         deeper = inner + "  "
         one = "[" + deeper + ("," + deeper).join(["%d"] * len(o[0])) + inner + "]"
         put(sep.join([one] * len(o)) % flat)
+    elif (types == {dict} and len(keys := set(map(tuple, o))) == 1
+          and set(map(type, ks := keys.pop())) == {str}
+          and set(map(type, flat := tuple(chain.from_iterable(map(dict.values, o))))) == {int}):
+        deeper = inner + "  "
+        fields = ("," + deeper).join(_quote(k).replace("%", "%%") + ": %d" for k in ks)
+        put(sep.join(["{" + deeper + fields + inner + "}"] * len(o)) % flat)
     else:
         lead = ""
         for v in o:

@@ -61,7 +61,9 @@ from .permutations import Permutation, Signature, check_signature
 #: ``build_gamma_graph`` expands.  At the cap, building and classifying
 #: peak 14 MB above the interpreter's start for a 50-cycle at level 400
 #: (0.2 s) and 26 MB for a 1000-cycle at level 1 (0.8 s), on a Xeon with
-#: Python 3.11.  A ``verify`` sweep's cases share this budget: it refuses
+#: Python 3.11.  The whole ``oracle --format json`` command on that
+#: 1000-cycle peaks at 404 MB: its document lists 250,000 segments and
+#: writes 85 MB.  A ``verify`` sweep's cases share this budget: it refuses
 #: samples * max_h^2 * max_level above it.
 MAX_ORACLE_VERTICES = 1_000_000
 

@@ -54,8 +54,9 @@ MAX_LEVEL = 10_000
 #: a row costs besides its ``a`` entries, counted in ``a`` entries of the
 #: JSON form (about 0.2 us and 5-11 bytes each).  The h^2 points are not
 #: counted: just under the cap, a random h = 1000 report (1,040 orbits,
-#: level 1,873) is 102 MB of JSON, written in about 2.2 s at a peak RSS
-#: of 458 MB on a 2-vCPU machine with Python 3.11.7.  Random h = 1000
+#: level 1,873) is 105 MB of JSON, which the command computes and writes
+#: in 2.5-3.1 s (1.2 s of it writing) at a peak RSS of 478 MB on a
+#: 2-vCPU machine with Python 3.11.7.  Random h = 1000
 #: reports have 1,000-1,400 orbits: at the default level, a size < 10^5.
 ORBIT_ROW_COST = 50
 MAX_REPORT_SIZE = 2_000_000

@@ -384,8 +384,13 @@ JSON_TEXT = st.text() | st.text(alphabet=st.characters(max_codepoint=0x7F)) | st
 # lists of equal-length int tuples (an orbit's points), sometimes ragged
 INT_ROWS = st.integers(0, 3).flatmap(
     lambda n: st.lists(st.tuples(*[JSON_INTS] * n) | st.tuples(JSON_INTS), min_size=1))
+# lists of int records that share one key tuple (an orbit's segments)
+INT_RECORDS = st.lists(JSON_TEXT, max_size=3, unique=True).flatmap(
+    lambda keys: st.lists(st.tuples(*[JSON_INTS] * len(keys)).map(
+        lambda values: dict(zip(keys, values))), min_size=1))
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | JSON_INTS | JSON_TEXT | INT_ROWS | st.lists(JSON_INTS),
+    st.none() | st.booleans() | JSON_INTS | JSON_TEXT | INT_ROWS | INT_RECORDS
+    | st.lists(JSON_INTS),
     lambda kids: (
         st.lists(kids) | st.lists(kids).map(tuple) | st.builds(Pair, kids, kids)
         | st.dictionaries(JSON_TEXT, kids)
@@ -406,26 +411,35 @@ JSON_VALUES = st.recursive(
 @example([(2**70, -1), (-(2**70), 0)])
 @example({"cycles": (Cycle(2, 2), Cycle(3, 3)), "rows": [Cycle(1, 1)]})
 @example(["a", "\x00\x1f", "\u00e9\U0001f600", '"\\'])
+@example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
+@example([{"a": 1}, {"a": True}])
+@example([{"a": 1}, {"a": "1"}])
+@example([{}, {}])
+@example([{"%d": 1, "x%s": -2**70}] * 2)
+@example([{"é\"": 0}] * 2)
 def test_json_writer_matches_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("value", [{1, 2}, 1.5, [0.0], {1: "a"}, {"a": {(1, 2): 3}}])
+@pytest.mark.parametrize(
+    "value", [{1, 2}, 1.5, [0.0], {1: "a"}, {"a": {(1, 2): 3}}, [{1: 2}, {1: 2}]])
 def test_json_writer_refuses_other_types_and_keys(value):
     with pytest.raises(TypeError):
         cli._json(value)
 
 
 def test_json_writer_makes_no_call_per_leaf(monkeypatch):
-    """A list of ints, of strs, of int pairs or of ``Cycle`` records is
-    written in the call that reaches it, not one call per entry."""
+    """A list of ints, of strs, of int pairs, of ``Cycle`` records or of
+    segment dicts is written in the call that reaches it, not one call
+    per entry."""
     calls = []
     real = cli._write
     monkeypatch.setattr(cli, "_write", lambda o, *rest: calls.append(o) or real(o, *rest))
     doc = {"points": [(i, -i) for i in range(500)], "a": list(range(500)),
-           "classes": ["FV"] * 500, "cycles": [Cycle(i, 2 * i) for i in range(500)]}
+           "classes": ["FV"] * 500, "cycles": [Cycle(i, 2 * i) for i in range(500)],
+           "segments": [{"start": i, "length": 2, "level": i % 7} for i in range(500)]}
     assert cli._json(doc) == json.dumps(doc, indent=2)
-    assert len(calls) == 5
+    assert len(calls) == 6
 
 
 S5 = [",".join(map(str, p)) for p in itertools.permutations(range(1, 6))]
